@@ -9,7 +9,6 @@ byte-identical for fixed flags and seed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import click
 
@@ -20,7 +19,7 @@ from .spectral import (
     schmidt_decompose,
     verify_fixed_point,
 )
-from .tensor_space import DimensionCapError, block_basis, flat_dim_cap
+from .tensor_space import block_basis, flat_dim_cap
 from .verification import run_verification
 from .young import (
     YoungDiagram,
@@ -35,29 +34,6 @@ from .young import (
 )
 
 SCHEMA = "1"
-
-
-@dataclass
-class RunConfig:
-    """Parsed options shared by the randomized commands."""
-
-    command: str
-    partition: str
-    d: int
-    cut: int | None = None
-    restarts: int = 32
-    max_iterations: int = 500
-    tolerance: float = 1e-10
-    fmt: str = "text"
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.d < 1:
-            raise click.UsageError("d must be at least 1")
-        if self.restarts < 1:
-            raise click.UsageError("restarts must be at least 1")
-        if self.tolerance <= 0:
-            raise click.UsageError("tolerance must be positive")
 
 
 def _parse_partition(text: str) -> YoungDiagram:
@@ -75,10 +51,13 @@ def _require_boxes(diagram: YoungDiagram, minimum: int) -> None:
 
 
 def _check_cap(d: int, n: int) -> None:
-    if d**n > flat_dim_cap():
+    try:
+        cap = flat_dim_cap()
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
+    if d**n > cap:
         raise click.UsageError(
-            f"d**n = {d**n} exceeds the cap {flat_dim_cap()}; "
-            "set SCHURWEYL_CAP to raise it"
+            f"d**n = {d**n} exceeds the cap {cap}; set SCHURWEYL_CAP to raise it"
         )
 
 
@@ -130,7 +109,7 @@ def bound(partition: str, fmt: str) -> None:
 
 @main.command()
 @click.option("--partition", required=True, help="Comma-separated row lengths.")
-@click.option("--d", "d", type=int, default=None,
+@click.option("--d", "d", type=click.IntRange(min=1), default=None,
               help="Local dimension for the unitary-group dimension [default: number of rows].")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text",
               show_default=True)
@@ -139,8 +118,6 @@ def tableaux(partition: str, d: int | None, fmt: str) -> None:
     diagram = _parse_partition(partition)
     _require_boxes(diagram, 1)
     d = diagram.n_rows if d is None else d
-    if d < 1:
-        raise click.UsageError("d must be at least 1")
     listing = []
     for t in enumerate_standard_tableaux(diagram):
         flags = []
@@ -173,10 +150,10 @@ def tableaux(partition: str, d: int | None, fmt: str) -> None:
 
 @main.command()
 @click.option("--partition", required=True, help="Comma-separated row lengths.")
-@click.option("--d", "d", type=int, default=None,
+@click.option("--d", "d", type=click.IntRange(min=1), default=None,
               help="Local dimension [default: number of rows].")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--samples", type=int, default=5, show_default=True,
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
+@click.option("--samples", type=click.IntRange(min=1), default=5, show_default=True,
               help="Random states per check.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text",
               show_default=True)
@@ -187,8 +164,6 @@ def verify(ctx: click.Context, partition: str, d: int | None, seed: int,
     diagram = _parse_partition(partition)
     _require_boxes(diagram, 1)
     d = diagram.n_rows if d is None else d
-    if d < 1:
-        raise click.UsageError("d must be at least 1")
     _check_cap(d, diagram.n_boxes)
     results = run_verification(diagram, d, seed=seed, samples=samples)
     ok = all(r.passed for r in results)
@@ -230,14 +205,14 @@ def verify(ctx: click.Context, partition: str, d: int | None, seed: int,
 
 @main.command()
 @click.option("--partition", required=True, help="Comma-separated row lengths.")
-@click.option("--d", "d", type=int, default=None,
+@click.option("--d", "d", type=click.IntRange(min=1), default=None,
               help="Local dimension [default: number of rows].")
 @click.option("--cut", type=int, default=None,
               help="Cut position k, splitting factors 1..k from the rest [default: N-1].")
-@click.option("--restarts", type=int, default=32, show_default=True)
+@click.option("--restarts", type=click.IntRange(min=1), default=32, show_default=True)
 @click.option("--max-iterations", type=int, default=500, show_default=True)
 @click.option("--tolerance", type=float, default=1e-10, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--trace/--no-trace", "trace", default=False,
               help="Include objective traces in JSON output.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text",
@@ -250,12 +225,14 @@ def maximize(partition: str, d: int | None, cut: int | None, restarts: int,
     _require_boxes(diagram, 2)
     n = diagram.n_boxes
     d = diagram.n_rows if d is None else d
-    config = RunConfig(
-        command="maximize", partition=str(diagram), d=d,
-        cut=n - 1 if cut is None else cut, restarts=restarts,
-        max_iterations=max_iterations, tolerance=tolerance, fmt=fmt, seed=seed,
-    )
-    if not 1 <= config.cut <= n - 1:
+    cut = n - 1 if cut is None else cut
+    try:
+        config = MaximizeConfig(
+            restarts=restarts, max_iterations=max_iterations, tol=tolerance, seed=seed,
+        )
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
+    if not 1 <= cut <= n - 1:
         raise click.UsageError(f"cut must lie in 1..{n - 1}")
     if d < diagram.n_rows:
         click.echo(
@@ -265,35 +242,29 @@ def maximize(partition: str, d: int | None, cut: int | None, restarts: int,
         )
         raise click.UsageError("no block to maximize over at this d")
     _check_cap(d, n)
-    try:
-        basis = block_basis(diagram, d)
-    except DimensionCapError as exc:
-        raise click.UsageError(str(exc)) from exc
+    basis = block_basis(diagram, d)
     exact, witness = max_schmidt_bound(diagram)
 
     pairs = []
-    if config.cut == n - 1:
+    if cut == n - 1:
         seed_state = optimizer_state(diagram, witness, d=d)
-        sr = schmidt_decompose(seed_state, config.cut)
+        sr = schmidt_decompose(seed_state, cut)
         pairs.append((sr.left_vectors[0], sr.right_vectors[0]))
     report = max_lambda1_over_subspace(
         basis,
-        config.cut,
-        MaximizeConfig(
-            restarts=restarts, max_iterations=max_iterations,
-            tol=tolerance, seed=seed,
-        ),
+        cut,
+        config,
         analytic_bound=exact,
         initial_pairs=pairs,
     )
-    residual = verify_fixed_point(report.maximizer, basis, config.cut)
+    residual = verify_fixed_point(report.maximizer, basis, cut)
     gap = abs(float(exact) - report.best_lambda1_sq)
     payload = {
         "schema": SCHEMA,
         "command": "maximize",
         "partition": str(diagram),
         "d": d,
-        "cut": config.cut,
+        "cut": cut,
         "seed": seed,
         "restarts": report.restarts,
         "seeded_restarts": len(pairs),
@@ -309,7 +280,7 @@ def maximize(partition: str, d: int | None, cut: int | None, restarts: int,
     if fmt == "json":
         _emit_json(payload)
         return
-    click.echo(f"partition {diagram}  d={d}  cut={config.cut}  seed={seed}")
+    click.echo(f"partition {diagram}  d={d}  cut={cut}  seed={seed}")
     click.echo(f"exact bound          {exact}  at box ({witness.row},{witness.col})")
     click.echo(f"numeric max          {report.best_lambda1_sq:.12f}")
     click.echo(f"gap                  {gap:.3e}")
@@ -321,18 +292,14 @@ def maximize(partition: str, d: int | None, cut: int | None, restarts: int,
 
 
 @main.command()
-@click.option("--max-n", type=int, required=True,
+@click.option("--max-n", type=click.IntRange(min=2), required=True,
               help="Number of boxes; every partition of this size is tabulated.")
-@click.option("--max-d", type=int, default=None,
+@click.option("--max-d", type=click.IntRange(min=1), default=None,
               help="Also tabulate the unitary-group dimension at this d.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text",
               show_default=True)
 def sweep(max_n: int, max_d: int | None, fmt: str) -> None:
     """Bound table over all partitions of max-n boxes."""
-    if max_n < 2:
-        raise click.UsageError("max-n must be at least 2")
-    if max_d is not None and max_d < 1:
-        raise click.UsageError("max-d must be at least 1")
     rows = []
     for diagram in partitions_of(max_n):
         entry = _bound_payload(diagram)

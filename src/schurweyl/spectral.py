@@ -91,8 +91,8 @@ class MaximizeConfig:
             raise ValueError("restarts must be nonnegative")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
-        if self.tol <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tolerance must be positive and finite")
 
 
 @dataclass

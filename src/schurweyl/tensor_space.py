@@ -271,19 +271,6 @@ class OperatorExpr:
         raise NotImplementedError
 
 
-class IdentityOp(OperatorExpr):
-    def __init__(self, local_dim: int, n_factors: int) -> None:
-        self.local_dim = local_dim
-        self.n_factors = n_factors
-        self.support: frozenset[int] = frozenset()
-
-    def _apply_raw(self, arr: np.ndarray) -> np.ndarray:
-        return arr
-
-    def embedded(self, n_factors: int) -> OperatorExpr:
-        return IdentityOp(self.local_dim, n_factors)
-
-
 class PermutationSum(OperatorExpr):
     """Real linear combination of permutation actions."""
 
@@ -568,15 +555,6 @@ def subspace_basis(t: StandardTableau, d: int) -> list[TensorState]:
     return [TensorState(d, n, vec) for vec in kept]
 
 
-def block_basis(diagram: YoungDiagram, d: int) -> list[TensorState]:
-    """Orthonormal basis of the diagram's whole block: all sectors combined."""
-    return [
-        b
-        for t in enumerate_standard_tableaux(diagram)
-        for b in subspace_basis(t, d)
-    ]
-
-
 def aligned_sector_bases(
     diagram: YoungDiagram, d: int
 ) -> dict[StandardTableau, list[TensorState]]:
@@ -614,3 +592,13 @@ def aligned_sector_bases(
     if len(bases) != len(tableaux):
         raise ArithmeticError("swap moves failed to reach every tableau")
     return {t: bases[t] for t in tableaux}
+
+
+def block_basis(diagram: YoungDiagram, d: int) -> list[TensorState]:
+    """Orthonormal basis of the diagram's whole block: all sectors combined.
+
+    The aligned sector bases flattened tableau-major: every vector of the
+    first tableau in canonical order, then the second, and so on.  Empty
+    when d is smaller than the number of rows.
+    """
+    return [b for basis in aligned_sector_bases(diagram, d).values() for b in basis]

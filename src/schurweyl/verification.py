@@ -123,9 +123,8 @@ def run_verification(
 
     # Stack the aligned bases, tableau-major: column ti*dim + a holds vector a
     # of sector ti.
-    block_mat = np.column_stack(
-        [b.amplitudes for t in tableaux for b in bases[t]]
-    )
+    full_basis = [b for t in tableaux for b in bases[t]]
+    block_mat = np.column_stack([b.amplitudes for b in full_basis])
 
     # Random combinations of the sector bases must be fixed by the block sum.
     combo_count = min(block_mat.shape[1], max(3, samples))
@@ -202,7 +201,6 @@ def run_verification(
     worst_mem = 0.0
     worst_fix = 0.0
     if n >= 2:
-        full_basis = [b for t in tableaux for b in bases[t]]
         for box in removable_boxes(diagram):
             state = optimizer_state(diagram, box, d=d)
             lam1 = schmidt_decompose(state, n - 1).coefficients[0]

@@ -186,3 +186,35 @@ class TestSweep:
 
     def test_bad_max_n(self, runner):
         assert runner.invoke(main, ["sweep", "--max-n", "1"]).exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "args, cap",
+    [
+        (["maximize", "--partition", "2,1", "--max-iterations", "0"], None),
+        (["maximize", "--partition", "2,1", "--max-iterations", "-3"], None),
+        (["maximize", "--partition", "2,1", "--tolerance", "nan"], None),
+        (["maximize", "--partition", "2,1", "--tolerance", "inf"], None),
+        (["maximize", "--partition", "2,1", "--tolerance", "0"], None),
+        (["maximize", "--partition", "2,1", "--restarts", "0"], None),
+        (["maximize", "--partition", "2,1", "--seed", "-1"], None),
+        (["maximize", "--partition", "2,1", "--d", "0"], None),
+        (["maximize", "--partition", "2,1"], "abc"),
+        (["maximize", "--partition", "2,1"], "0"),
+        (["verify", "--partition", "2,1", "--samples", "0"], None),
+        (["verify", "--partition", "2,1", "--samples", "-1"], None),
+        (["verify", "--partition", "2,1", "--seed", "-1"], None),
+        (["verify", "--partition", "2,1", "--d", "0"], None),
+        (["verify", "--partition", "2,1"], "abc"),
+        (["verify", "--partition", "2,1"], "0"),
+        (["tableaux", "--partition", "2,1", "--d", "0"], None),
+        (["sweep", "--max-n", "3", "--max-d", "0"], None),
+    ],
+)
+def test_bad_option_is_usage_error(runner, monkeypatch, args, cap):
+    if cap is not None:
+        monkeypatch.setenv("SCHURWEYL_CAP", cap)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert type(result.exception) is SystemExit
+    assert "Error" in result.output

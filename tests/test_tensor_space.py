@@ -362,10 +362,28 @@ class TestSubspaceBasis:
                 expected = 1.0 if i == j else 0.0
                 assert abs(b.inner(c) - expected) < 1e-10
 
-    def test_block_basis_size(self):
-        dg = YoungDiagram((2, 1))
-        basis = block_basis(dg, 2)
-        assert len(basis) == 4  # dim V * number of tableaux = 2 * 2
+    @pytest.mark.parametrize(
+        "rows, d",
+        [((2, 1), 2), ((2, 1), 3), ((2, 2), 3), ((2, 1, 1), 3), ((3, 2), 2), ((1, 1, 1), 2)],
+        ids=lambda v: f"d{v}" if isinstance(v, int) else "_".join(map(str, v)),
+    )
+    def test_block_basis_size(self, rows, d):
+        # the per-tableau extraction stays the oracle for the block's span
+        dg = YoungDiagram(rows)
+        tableaux = enumerate_standard_tableaux(dg)
+        basis = block_basis(dg, d)
+        assert len(basis) == len(tableaux) * dim_unitary_group_irrep(dg, d)
+        if d < dg.n_rows:
+            assert basis == []
+            return
+        mat = np.column_stack([b.amplitudes for b in basis])
+        np.testing.assert_allclose(mat.conj().T @ mat, np.eye(len(basis)), atol=1e-10)
+        reference = sum(
+            np.outer(v.amplitudes, v.amplitudes.conj())
+            for t in tableaux
+            for v in subspace_basis(t, d)
+        )
+        np.testing.assert_allclose(mat @ mat.conj().T, reference, atol=1e-10)
 
 
 class TestAlignedBases:
