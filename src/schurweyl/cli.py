@@ -1,14 +1,15 @@
 """Command-line front end: bound tables, tableau listings, verification
 sweeps and variational maximization runs.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.  All rationals
-print as p/q; JSON output carries a top-level schema tag and is
+Exit codes: 0 success, 1 a failed check (verify or maximize), 2 usage error.
+All rationals print as p/q; JSON output carries a top-level schema tag and is
 byte-identical for fixed flags and seed.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 import click
 
@@ -20,7 +21,7 @@ from .spectral import (
     verify_fixed_point,
 )
 from .tensor_space import block_basis, flat_dim_cap
-from .verification import run_verification
+from .verification import CheckResult, run_verification
 from .young import (
     YoungDiagram,
     bound_for_box,
@@ -63,6 +64,17 @@ def _check_cap(d: int, n: int) -> None:
 
 def _emit_json(payload: dict) -> None:
     click.echo(json.dumps(payload, indent=2))
+
+
+def _echo_checks(results: list[CheckResult]) -> None:
+    for r in results:
+        mark = "pass" if r.passed else "FAIL"
+        detail = f"  ({r.detail})" if r.detail else ""
+        click.echo(
+            f"  [{mark}] {r.name:34s} residual {r.residual:.3e}  "
+            f"tol {r.tolerance:.0e}{detail}"
+        )
+    click.echo(f"{sum(r.passed for r in results)}/{len(results)} checks passed")
 
 
 def _bound_payload(diagram: YoungDiagram) -> dict:
@@ -173,32 +185,14 @@ def verify(ctx: click.Context, partition: str, d: int | None, seed: int,
         "partition": str(diagram),
         "d": d,
         "seed": seed,
-        "checks": [
-            {
-                "name": r.name,
-                "residual": r.residual,
-                "tolerance": r.tolerance,
-                "passed": r.passed,
-                "detail": r.detail,
-            }
-            for r in results
-        ],
+        "checks": [asdict(r) for r in results],
         "passed": ok,
     }
     if fmt == "json":
         _emit_json(payload)
     else:
         click.echo(f"verify {diagram}  d={d}  seed={seed}")
-        for r in results:
-            mark = "pass" if r.passed else "FAIL"
-            detail = f"  ({r.detail})" if r.detail else ""
-            click.echo(
-                f"  [{mark}] {r.name:34s} residual {r.residual:.3e}  "
-                f"tol {r.tolerance:.0e}{detail}"
-            )
-        click.echo(
-            f"{sum(r.passed for r in results)}/{len(results)} checks passed"
-        )
+        _echo_checks(results)
     if not ok:
         ctx.exit(1)
 
@@ -217,10 +211,12 @@ def verify(ctx: click.Context, partition: str, d: int | None, seed: int,
               help="Include objective traces in JSON output.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text",
               show_default=True)
-def maximize(partition: str, d: int | None, cut: int | None, restarts: int,
-             max_iterations: int, tolerance: float, seed: int, trace: bool,
-             fmt: str) -> None:
-    """Numerically maximize the leading squared Schmidt coefficient over a block."""
+@click.pass_context
+def maximize(ctx: click.Context, partition: str, d: int | None, cut: int | None,
+             restarts: int, max_iterations: int, tolerance: float, seed: int,
+             trace: bool, fmt: str) -> None:
+    """Numerically maximize the leading squared Schmidt coefficient over a block;
+    exit 1 when a check fails."""
     diagram = _parse_partition(partition)
     _require_boxes(diagram, 2)
     n = diagram.n_boxes
@@ -259,6 +255,25 @@ def maximize(partition: str, d: int | None, cut: int | None, restarts: int,
     )
     residual = verify_fixed_point(report.maximizer, basis, cut)
     gap = abs(float(exact) - report.best_lambda1_sq)
+    best = report.best_restart
+    checks = [
+        CheckResult(
+            "ascent converged",
+            0.0 if report.converged[best] else 1.0,
+            0.5,
+            report.converged[best],
+            f"best restart {best} after {report.iterations[best]} iterations",
+        )
+    ]
+    if cut == n - 1:
+        # The exact bound holds only at the cut that splits off one factor.
+        # Off it the ascent stops on a flat objective with a fixed-point
+        # residual far above verify's tolerance, so neither is gated there.
+        checks.append(CheckResult("gap to exact bound", gap, 1e-8, gap <= 1e-8))
+        checks.append(
+            CheckResult("fixed-point residual", residual, 1e-7, residual <= 1e-7)
+        )
+    ok = all(r.passed for r in checks)
     payload = {
         "schema": SCHEMA,
         "command": "maximize",
@@ -276,19 +291,24 @@ def maximize(partition: str, d: int | None, cut: int | None, restarts: int,
         "iterations": list(report.iterations),
         "converged": list(report.converged),
         "report": report.to_json_dict(include_trace=trace),
+        "checks": [asdict(r) for r in checks],
+        "passed": ok,
     }
     if fmt == "json":
         _emit_json(payload)
-        return
-    click.echo(f"partition {diagram}  d={d}  cut={cut}  seed={seed}")
-    click.echo(f"exact bound          {exact}  at box ({witness.row},{witness.col})")
-    click.echo(f"numeric max          {report.best_lambda1_sq:.12f}")
-    click.echo(f"gap                  {gap:.3e}")
-    click.echo(f"fixed-point residual {residual:.3e}")
-    click.echo(
-        f"restarts {report.restarts} ({len(pairs)} seeded), "
-        f"converged {sum(report.converged)}/{report.restarts}"
-    )
+    else:
+        click.echo(f"partition {diagram}  d={d}  cut={cut}  seed={seed}")
+        click.echo(f"exact bound          {exact}  at box ({witness.row},{witness.col})")
+        click.echo(f"numeric max          {report.best_lambda1_sq:.12f}")
+        click.echo(f"gap                  {gap:.3e}")
+        click.echo(f"fixed-point residual {residual:.3e}")
+        click.echo(
+            f"restarts {report.restarts} ({len(pairs)} seeded), "
+            f"converged {sum(report.converged)}/{report.restarts}"
+        )
+        _echo_checks(checks)
+    if not ok:
+        ctx.exit(1)
 
 
 @main.command()

@@ -97,12 +97,17 @@ class MaximizeConfig:
 
 @dataclass
 class MaximizationReport:
-    """Outcome of maximizing the leading squared Schmidt coefficient."""
+    """Outcome of maximizing the leading squared Schmidt coefficient.
+
+    ``best_restart`` indexes the restart whose final objective is
+    ``best_lambda1_sq`` in ``iterations`` and ``converged``.
+    """
 
     best_lambda1_sq: float
     restarts: int
     iterations: tuple[int, ...]
     converged: tuple[bool, ...]
+    best_restart: int
     maximizer: TensorState
     cut: int
     analytic_bound: Fraction | None = None
@@ -183,8 +188,9 @@ def max_lambda1_over_subspace(
     converged = []
     traces = []
     best_obj = -1.0
+    best_restart = -1
     best_psi: np.ndarray | None = None
-    for start in starts:
+    for index, start in enumerate(starts):
         alpha, beta = start if start is not None else (random_side(dim_a), random_side(dim_b))
         prev = None
         trace: list[float] = []
@@ -217,6 +223,7 @@ def max_lambda1_over_subspace(
         traces.append(tuple(trace))
         if trace and trace[-1] > best_obj:
             best_obj = trace[-1]
+            best_restart = index
             best_psi = psi
     if best_psi is None:
         raise RuntimeError("no restart produced a state inside the subspace")
@@ -225,6 +232,7 @@ def max_lambda1_over_subspace(
         restarts=len(starts),
         iterations=tuple(iterations),
         converged=tuple(converged),
+        best_restart=best_restart,
         maximizer=TensorState(d, n, best_psi),
         cut=k,
         analytic_bound=analytic_bound,

@@ -1,8 +1,10 @@
 """Dense states on (C^d)^(tensor n) and matrix-free permutation operators.
 
-Row symmetrizers, column antisymmetrizers, Young projections, the recursive
-hermitian tableau projectors and their closed forms all act by index
-shuffling; the full d^n x d^n matrices are never materialized.
+Row symmetrizers, column antisymmetrizers, Young projections, the hermitian
+sector projectors (products of Jucys-Murphy interpolation stages) and their
+closed forms are all sums of permutations, and every permutation acts as an
+axis transpose of the (d,)*n view; the full d^n x d^n matrices are never
+materialized.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import math
 import os
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -26,7 +27,6 @@ from .young import (
     dominates,
     enumerate_standard_tableaux,
     hook_length,
-    remove_largest,
 )
 
 DEFAULT_CAP = 2**20
@@ -186,15 +186,12 @@ def _axes_for(sigma: Permutation) -> tuple[int, ...]:
     return tuple(v - 1 for v in inv)
 
 
-@lru_cache(maxsize=128)
-def _gather_indices(axes: tuple[int, ...], d: int) -> np.ndarray:
-    """Flat row gather realizing an axis transpose: X.transpose(axes).ravel()
-    equals X.ravel()[indices] for any (d,)*n array X."""
-    n = len(axes)
-    # int32 suffices under the dense-vector cap and halves the cache footprint
-    idx = np.arange(d**n, dtype=np.int32).reshape((d,) * n).transpose(axes).reshape(-1)
-    idx.setflags(write=False)
-    return idx
+def _permuted(axes: tuple[int, ...], arr: np.ndarray, d: int, n: int) -> np.ndarray:
+    """Permutation action on a flat vector or on every column of a
+    (d**n, batch) matrix, as one axis transpose of the (d,)*n view."""
+    batch = arr.shape[1:]
+    trailing = tuple(range(n, n + len(batch)))
+    return arr.reshape((d,) * n + batch).transpose(axes + trailing).reshape(arr.shape)
 
 
 def apply_permutation(sigma: Permutation, psi: TensorState) -> TensorState:
@@ -206,8 +203,8 @@ def apply_permutation(sigma: Permutation, psi: TensorState) -> TensorState:
         raise ValueError("permutation size must match the number of factors")
     if sigma.is_identity():
         return psi
-    nd = psi.nd().transpose(_axes_for(sigma))
-    return TensorState(psi.local_dim, psi.n_factors, nd.reshape(-1))
+    amps = _permuted(_axes_for(sigma), psi.amplitudes, psi.local_dim, psi.n_factors)
+    return TensorState(psi.local_dim, psi.n_factors, amps)
 
 
 def permute_matrix_columns(
@@ -216,8 +213,7 @@ def permute_matrix_columns(
     """Permutation action applied to every column of a (d**n, batch) matrix."""
     if sigma.is_identity():
         return mat
-    axes = _axes_for(sigma) + (n,)
-    return mat.reshape((d,) * n + (mat.shape[1],)).transpose(axes).reshape(mat.shape)
+    return _permuted(_axes_for(sigma), mat, d, n)
 
 
 def swap_factors(psi: TensorState, k: int, l: int) -> TensorState:
@@ -247,13 +243,11 @@ class OperatorExpr:
 
     Subclasses implement ``_apply_raw`` on flat amplitude arrays; calling the
     operator on a :class:`TensorState` validates the space and wraps the
-    result.  ``support`` records the factor positions the operator can move.
-    Linearity holds by construction.
+    result.  Linearity holds by construction.
     """
 
     local_dim: int
     n_factors: int
-    support: frozenset[int]
 
     def _apply_raw(self, arr: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -265,10 +259,6 @@ class OperatorExpr:
                 f"state with d={psi.local_dim}, n={psi.n_factors}"
             )
         return TensorState(self.local_dim, self.n_factors, self._apply_raw(psi.amplitudes))
-
-    def embedded(self, n_factors: int) -> OperatorExpr:
-        """Same operator acting on the first factors of a larger space."""
-        raise NotImplementedError
 
 
 class PermutationSum(OperatorExpr):
@@ -286,24 +276,19 @@ class PermutationSum(OperatorExpr):
         for _, sigma in self.terms:
             if sigma.size != n_factors:
                 raise ValueError("permutation size must match the operator space")
-        self.support = frozenset(
-            k for _, sigma in self.terms for k in range(1, n_factors + 1)
-            if sigma(k) != k
-        )
         self._plans = tuple(
             (c, None if sigma.is_identity() else _axes_for(sigma))
             for c, sigma in self.terms
         )
 
     def _apply_raw(self, arr: np.ndarray) -> np.ndarray:
-        # arr may be a single flat vector or a (d**n, batch) matrix; each
-        # permutation acts as one cached row gather on the flat index
+        # arr may be a single flat vector or a (d**n, batch) matrix
         out = np.zeros_like(arr)
         for coeff, axes in self._plans:
             if axes is None:
                 term = arr
             else:
-                term = arr[_gather_indices(axes, self.local_dim)]
+                term = _permuted(axes, arr, self.local_dim, self.n_factors)
             if coeff == 1.0:
                 out += term
             elif coeff == -1.0:
@@ -311,18 +296,6 @@ class PermutationSum(OperatorExpr):
             else:
                 out += coeff * term
         return out
-
-    def embedded(self, n_factors: int) -> OperatorExpr:
-        if n_factors == self.n_factors:
-            return self
-        if n_factors < self.n_factors:
-            raise ValueError("cannot embed into fewer factors")
-        pad = tuple(range(self.n_factors + 1, n_factors + 1))
-        return PermutationSum(
-            self.local_dim,
-            n_factors,
-            ((c, Permutation(sigma.images + pad)) for c, sigma in self.terms),
-        )
 
 
 class ProductOp(OperatorExpr):
@@ -341,8 +314,6 @@ class ProductOp(OperatorExpr):
         for op in self.factors:
             if op.local_dim != local_dim or op.n_factors != n_factors:
                 raise ValueError("product factors must share the operator space")
-        self.support = frozenset().union(*(op.support for op in self.factors)) \
-            if self.factors else frozenset()
         self.scale = scale
         self._scale_float = float(scale)
 
@@ -353,16 +324,6 @@ class ProductOp(OperatorExpr):
         if self._scale_float != 1.0:
             out = self._scale_float * out
         return out
-
-    def embedded(self, n_factors: int) -> OperatorExpr:
-        if n_factors == self.n_factors:
-            return self
-        return ProductOp(
-            self.local_dim,
-            n_factors,
-            tuple(op.embedded(n_factors) for op in self.factors),
-            self.scale,
-        )
 
 
 def _subset_permutation_sum(
@@ -466,34 +427,50 @@ def young_projection(t: StandardTableau, d: int) -> OperatorExpr:
     return ProductOp(d, t.n, factors, scale=_normalization(t.diagram))
 
 
-@lru_cache(maxsize=None)
-def _orthogonal_projector(t: StandardTableau, d: int) -> OperatorExpr:
-    n = t.n
-    if n <= 2:
-        return young_projection(t, d)
-    sub = _orthogonal_projector(remove_largest(t), d).embedded(n)
-    return ProductOp(d, n, (sub, young_projection(t, d), sub))
-
-
 def orthogonal_projector(t: StandardTableau, d: int) -> OperatorExpr:
     """Hermitian projector onto the tableau's sector.
 
-    Defined by sandwiching the Young projection between the projector of the
-    tableau with the largest entry removed (acting on the leading factors),
-    recursively down to two boxes.  Distinct tableaux of any shapes give
-    mutually orthogonal projectors, and over all standard tableaux with n
-    entries the projectors resolve the identity.  Sub-tableau operators are
-    cached, so the expression trees share structure along the removal chain.
+    The sector is fixed by the chain S_1 < S_2 < ... < S_N: on it the
+    Jucys-Murphy element X_k = sum_{i<k} (i k) acts as the content c_k of the
+    box holding k, while every other sector differs from t first at some k
+    where it takes another addable content c' of the shape holding 1..k-1.
+    So the projector is the product over k = 2..N and over those c' != c_k
+    of the stages (X_k - c') / (c_k - c') (Okounkov-Vershik), which commute:
+    sum_k (k-1)(#addable - 1) transposition terms in all.  Distinct tableaux
+    of any shapes give mutually orthogonal projectors, and over all standard
+    tableaux with n entries the projectors resolve the identity.
     """
     if d < 1:
         raise ValueError("local dimension must be at least 1")
-    if t.n < 1:
+    n = t.n
+    if n < 1:
         raise ValueError("tableau must be nonempty")
-    return _orthogonal_projector(t, d)
+    identity = Permutation.identity(n)
+    rows: list[int] = []  # row lengths of the shape holding 1..k-1
+    stages = []
+    for k in range(1, n + 1):
+        row, col = t.position(k)
+        content = col - row
+        addable = [r - i for i, r in enumerate(rows) if i == 0 or rows[i - 1] > r]
+        addable.append(-len(rows))
+        swaps = [Permutation.transposition(n, i, k) for i in range(1, k)]
+        for other in addable:
+            if other == content:
+                continue
+            scale = 1.0 / (content - other)
+            terms = [(scale, sigma) for sigma in swaps]
+            if other:
+                terms.append((-other * scale, identity))
+            stages.append(PermutationSum(d, n, terms))
+        if row > len(rows):
+            rows.append(1)
+        else:
+            rows[row - 1] += 1
+    return ProductOp(d, n, stages)
 
 
 def closed_form_projector(t: StandardTableau, d: int) -> OperatorExpr:
-    """Non-recursive form of the sector projector for ordered fillings.
+    """Closed form of the sector projector for ordered fillings.
 
     Row-ordered tableaux use symmetrize-antisymmetrize-symmetrize; column
     ordered ones the reverse, both with the Young-projection scale.

@@ -137,12 +137,12 @@ def test_criterion_4_closed_form_equivalence():
             for nu in partitions_of(n):
                 for t in (row_ordered_tableau(nu), column_ordered_tableau(nu)):
                     closed = closed_form_projector(t, d)
-                    recursive = orthogonal_projector(t, d)
+                    projector = orthogonal_projector(t, d)
                     for _ in range(10):
                         x = random_state(d, n, rng)
-                        worst = max(worst, (closed(x) - recursive(x)).norm())
+                        worst = max(worst, (closed(x) - projector(x)).norm())
     assert worst <= 1e-10
-    print(f"ACCEPTANCE 4: PASS - closed forms match the recursion to 1e-10 "
+    print(f"ACCEPTANCE 4: PASS - closed forms match the sector projectors to 1e-10 "
           f"(worst {worst:.2e})")
 
 

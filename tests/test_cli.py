@@ -141,6 +141,11 @@ class TestMaximize:
         assert payload["exact_bound"] == "1/2"
         assert abs(payload["best_lambda1_sq"] - 0.5) < 1e-6
         assert payload["fixed_point_residual"] < 1e-7
+        assert result.exit_code == 0
+        assert [c["name"] for c in payload["checks"]] == [
+            "ascent converged", "gap to exact bound", "fixed-point residual",
+        ]
+        assert payload["passed"] is True
 
     def test_deterministic_output(self, runner):
         args = ["maximize", "--partition", "2,1", "--d", "2", "--seed", "7",
@@ -163,6 +168,15 @@ class TestMaximize:
         payload = json.loads(result.output)
         assert payload["cut"] == 2
         assert payload["seeded_restarts"] == 0
+        assert [c["name"] for c in payload["checks"]] == ["ascent converged"]
+        assert payload["passed"] is True
+
+    def test_unconverged_ascent_exits_one(self, runner):
+        result = runner.invoke(
+            main, ["maximize", "--partition", "2,1", "--max-iterations", "1"]
+        )
+        assert result.exit_code == 1
+        assert "[FAIL] ascent converged" in result.output
 
 
 class TestSweep:

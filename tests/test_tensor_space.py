@@ -6,6 +6,7 @@ import pytest
 from schurweyl.orthogonal_form import Permutation
 from schurweyl.tensor_space import (
     DimensionCapError,
+    PermutationSum,
     TensorState,
     aligned_sector_bases,
     antisymmetrizer,
@@ -30,6 +31,7 @@ from schurweyl.young import (
     dim_unitary_group_irrep,
     enumerate_standard_tableaux,
     partitions_of,
+    remove_largest,
     row_ordered_tableau,
 )
 
@@ -127,6 +129,19 @@ class TestPermutationAction:
         with pytest.raises(ValueError):
             apply_permutation(Permutation.identity(2), random_state(2, 3, RNG))
 
+    @pytest.mark.parametrize("d, n", [(2, 4), (3, 3)])
+    def test_permutation_sum_matches_single_actions(self, d, n):
+        rng = np.random.default_rng(d * 10 + n)
+        terms = [(float(rng.standard_normal()), Permutation.random(n, rng)) for _ in range(4)]
+        terms.append((0.5, Permutation.identity(n)))
+        op = PermutationSum(d, n, terms)
+        states = [random_state(d, n, rng) for _ in range(3)]
+        batch = op._apply_raw(np.column_stack([x.amplitudes for x in states]))
+        for col, x in enumerate(states):
+            expected = sum(c * apply_permutation(sigma, x).amplitudes for c, sigma in terms)
+            np.testing.assert_allclose(op._apply_raw(x.amplitudes), expected, atol=1e-13)
+            np.testing.assert_allclose(batch[:, col], expected, atol=1e-13)
+
     def test_swap_factors(self):
         psi = random_state(2, 4, RNG)
         assert swap_factors(psi, 2, 2) is psi
@@ -181,12 +196,6 @@ class TestSymmetrizers:
             px = op(x)
             assert (op(px) - px).norm() < 1e-12
             assert abs(y.inner(px) - op(y).inner(x)) < 1e-12
-
-    def test_support_reports_touched_factors(self):
-        t = StandardTableau(((1, 2, 3), (4, 5), (6,)))
-        assert row_symmetrizer(t, 2, 2).support == {4, 5}
-        assert column_antisymmetrizer(t, 1, 2).support == {1, 4, 6}
-        assert row_symmetrizer(t, 3, 2).support == frozenset()
 
     def test_index_bounds(self):
         t = StandardTableau(((1, 2), (3,)))
@@ -243,7 +252,27 @@ class TestYoungProjection:
         assert worst_herm > 1e-3  # genuinely non-hermitian
 
 
+def sandwich_projector(t, d):
+    """Dense reference: the recursive sandwich P_t = P_t' Y_t P_t', where t'
+    drops the largest entry and P_t' acts on the leading factors."""
+    n = t.n
+    y = young_projection(t, d)._apply_raw(np.eye(d**n, dtype=np.complex128))
+    if n <= 2:
+        return y
+    sub = np.kron(sandwich_projector(remove_largest(t), d), np.eye(d))
+    return sub @ y @ sub
+
+
 class TestOrthogonalProjector:
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_sandwich_oracle(self, n, d):
+        eye = np.eye(d**n, dtype=np.complex128)
+        for nu in partitions_of(n):
+            for t in enumerate_standard_tableaux(nu):
+                dense = orthogonal_projector(t, d)._apply_raw(eye)
+                np.testing.assert_allclose(dense, sandwich_projector(t, d), rtol=0, atol=1e-12)
+
     def test_single_box_is_identity(self):
         t = StandardTableau(((1,),))
         psi = random_state(3, 1, RNG)
@@ -327,10 +356,10 @@ class TestClosedForms:
         for nu in partitions_of(n):
             for t in (row_ordered_tableau(nu), column_ordered_tableau(nu)):
                 closed = closed_form_projector(t, d)
-                recursive = orthogonal_projector(t, d)
+                projector = orthogonal_projector(t, d)
                 for _ in range(3):
                     x = random_state(d, n, rng)
-                    assert (closed(x) - recursive(x)).norm() < 1e-10
+                    assert (closed(x) - projector(x)).norm() < 1e-10
 
     def test_unavailable_for_generic_tableau(self):
         t = StandardTableau(((1, 2, 4), (3, 5)))
