@@ -27,7 +27,7 @@ from .young import (
     bound_for_box,
     dim_symmetric_group_irrep,
     dim_unitary_group_irrep,
-    entropy_lower_bound,
+    entropy_from_bound,
     enumerate_standard_tableaux,
     max_schmidt_bound,
     partitions_of,
@@ -78,18 +78,19 @@ def _echo_checks(results: list[CheckResult]) -> None:
 
 
 def _bound_payload(diagram: YoungDiagram) -> dict:
-    per_box = [
-        {"row": box.row, "col": box.col, "bound": str(bound_for_box(diagram, box))}
-        for box in removable_boxes(diagram)
-    ]
-    value, witness = max_schmidt_bound(diagram)
+    bounds = [(box, bound_for_box(diagram, box)) for box in removable_boxes(diagram)]
+    # max keeps the first of equal values, so the witness is the corner with
+    # the smallest column, as in max_schmidt_bound.
+    witness, value = max(bounds, key=lambda entry: entry[1])
     return {
         "partition": str(diagram),
         "n_boxes": diagram.n_boxes,
-        "boxes": per_box,
+        "boxes": [
+            {"row": box.row, "col": box.col, "bound": str(bound)} for box, bound in bounds
+        ],
         "max_bound": str(value),
         "witness_box": {"row": witness.row, "col": witness.col},
-        "entropy_lower_bound": entropy_lower_bound(diagram),
+        "entropy_lower_bound": entropy_from_bound(value),
     }
 
 

@@ -2,6 +2,11 @@
 
 Bound and dimension computations run in arbitrary-precision integer and
 rational arithmetic; floating point enters only when taking logarithms.
+A diagram caches its conjugate, so a hook length costs O(1); the corners are
+found in one scan of the rows; each corner bound is a single ``Fraction``
+built from integer products; and both dimension formulas share one integer
+hook product.  Standard tableaux are enumerated on plain row tuples and each
+is validated once, as it is returned.
 """
 
 from __future__ import annotations
@@ -10,7 +15,8 @@ import ast
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import chain
 from typing import Iterator, NamedTuple
 
 
@@ -29,7 +35,8 @@ class YoungDiagram:
     """Partition drawn as left-justified rows of boxes.
 
     ``rows`` holds the weakly decreasing positive row lengths; column
-    lengths (the conjugate partition) are derived from them.
+    lengths (the conjugate partition) are derived from them once and cached.
+    Equality and hashing use ``rows`` only.
     """
 
     rows: tuple[int, ...]
@@ -69,7 +76,7 @@ class YoungDiagram:
     def n_cols(self) -> int:
         return self.rows[0] if self.rows else 0
 
-    @property
+    @cached_property
     def columns(self) -> tuple[int, ...]:
         return tuple(
             sum(1 for r in self.rows if r >= j) for j in range(1, self.n_cols + 1)
@@ -88,7 +95,7 @@ class YoungDiagram:
 
     def remove(self, box: Box) -> YoungDiagram:
         """Diagram with a removable corner box deleted."""
-        if box not in removable_boxes(self):
+        if not _is_corner(self, box):
             raise ValueError(f"box {box} is not removable from {self}")
         rows = list(self.rows)
         rows[box.row - 1] -= 1
@@ -96,42 +103,55 @@ class YoungDiagram:
 
 
 def hook_length(diagram: YoungDiagram, box: Box) -> int:
-    """Arm plus leg plus one of a box: r_i - j + c_j - i + 1."""
+    """Arm plus leg plus one of a box: r_i - j + c_j - i + 1, in O(1)."""
     if not diagram.contains(box):
         raise ValueError(f"box outside diagram: {box} not in ({diagram})")
     i, j = box
     return diagram.rows[i - 1] - j + diagram.columns[j - 1] - i + 1
 
 
+def _corner_rows(rows: tuple[int, ...]) -> Iterator[int]:
+    """0-based indices of the rows that end in a corner, bottom row first."""
+    for i in range(len(rows) - 1, -1, -1):
+        if i == len(rows) - 1 or rows[i + 1] < rows[i]:
+            yield i
+
+
 def removable_boxes(diagram: YoungDiagram) -> list[Box]:
     """Corner boxes whose removal leaves a valid diagram, by increasing column.
 
     These are exactly the boxes at the end of both their row and their
-    column, i.e. the boxes with hook length 1.
+    column, i.e. the boxes with hook length 1: the last box of the bottom
+    row and of every row longer than the one below it.
     """
     if diagram.n_boxes == 0:
         raise ValueError("empty diagram has no removable boxes")
-    cols = diagram.columns
-    out = []
-    for l in range(1, diagram.n_cols + 1):
-        box = Box(cols[l - 1], l)
-        if hook_length(diagram, box) == 1:
-            out.append(box)
-    return out
+    return [Box(i + 1, diagram.rows[i]) for i in _corner_rows(diagram.rows)]
+
+
+def _is_corner(diagram: YoungDiagram, box: Box) -> bool:
+    i, j = box
+    rows = diagram.rows
+    return 1 <= i <= len(rows) and j == rows[i - 1] and (i == len(rows) or rows[i] < j)
 
 
 def bound_for_box(diagram: YoungDiagram, box: Box) -> Fraction:
     """Exact product of (1 - 1/h) over the boxes above a removable box.
 
-    The empty product (a removable box in a height-1 column) is 1.
+    For the corner (i0, j) the box (i, j) above it has hook length
+    h = r_i - j + i0 - i + 1; the bound is (prod of h - 1) / (prod of h), one
+    ``Fraction`` in lowest terms.  The empty product (a removable box in a
+    height-1 column) is 1.
     """
-    if box not in removable_boxes(diagram):
+    if not _is_corner(diagram, box):
         raise ValueError(f"box {box} is not removable from ({diagram})")
-    out = Fraction(1)
-    for i in range(1, diagram.columns[box.col - 1]):
-        h = hook_length(diagram, Box(i, box.col))
-        out *= Fraction(h - 1, h)
-    return out
+    i0, j = box
+    num = den = 1
+    for i in range(1, i0):
+        h = diagram.rows[i - 1] - j + i0 - i + 1
+        num *= h - 1
+        den *= h
+    return Fraction(num, den)
 
 
 def max_schmidt_bound(diagram: YoungDiagram) -> tuple[Fraction, Box]:
@@ -151,19 +171,29 @@ def max_schmidt_bound(diagram: YoungDiagram) -> tuple[Fraction, Box]:
     return best
 
 
-def entropy_lower_bound(diagram: YoungDiagram) -> float:
-    """Lower bound on entanglement entropy for states in the block: -ln(bound)."""
-    value, _ = max_schmidt_bound(diagram)
+def entropy_from_bound(value: Fraction) -> float:
+    """Entropy lower bound -ln(value) given by a squared Schmidt coefficient bound."""
     out = -math.log(value)
     return 0.0 if out == 0 else out
 
 
+def entropy_lower_bound(diagram: YoungDiagram) -> float:
+    """Lower bound on entanglement entropy for states in the block: -ln(bound)."""
+    value, _ = max_schmidt_bound(diagram)
+    return entropy_from_bound(value)
+
+
+def _hook_product(diagram: YoungDiagram) -> int:
+    """Product of the hook lengths of all boxes, as one integer."""
+    cols = diagram.columns
+    return math.prod(
+        r - j + cols[j] - i - 1 for i, r in enumerate(diagram.rows) for j in range(r)
+    )
+
+
 def dim_symmetric_group_irrep(diagram: YoungDiagram) -> int:
     """Number of standard tableaux: N! over the product of all hook lengths."""
-    prod = 1
-    for box in diagram.boxes():
-        prod *= hook_length(diagram, box)
-    q, r = divmod(math.factorial(diagram.n_boxes), prod)
+    q, r = divmod(math.factorial(diagram.n_boxes), _hook_product(diagram))
     if r:
         raise ArithmeticError(f"hook product does not divide N! for ({diagram})")
     return q
@@ -180,12 +210,10 @@ def dim_unitary_group_irrep(diagram: YoungDiagram, d: int) -> int:
         return 1
     if d < diagram.n_rows:
         return 0
-    num = 1
-    den = 1
-    for box in diagram.boxes():
-        num *= d + box.col - box.row
-        den *= hook_length(diagram, box)
-    q, r = divmod(num, den)
+    num = math.prod(
+        d + j - i for i, r in enumerate(diagram.rows) for j in range(r)
+    )
+    q, r = divmod(num, _hook_product(diagram))
     if r:
         raise ArithmeticError(f"content product does not divide hooks for ({diagram})")
     return q
@@ -244,11 +272,6 @@ class StandardTableau:
             for j in range(len(rows[i + 1])):
                 if rows[i][j] >= rows[i + 1][j]:
                     raise ValueError(f"entries must increase down columns: {rows}")
-        positions = {}
-        for i, row in enumerate(rows, start=1):
-            for j, v in enumerate(row, start=1):
-                positions[v] = Box(i, j)
-        object.__setattr__(self, "_positions", positions)
 
     @classmethod
     def from_string(cls, text: str) -> StandardTableau:
@@ -268,9 +291,17 @@ class StandardTableau:
             "[" + ",".join(str(v) for v in row) + "]" for row in self.rows
         ) + "]"
 
-    @property
+    @cached_property
     def diagram(self) -> YoungDiagram:
         return YoungDiagram(tuple(len(r) for r in self.rows))
+
+    @cached_property
+    def _positions(self) -> dict[int, Box]:
+        return {
+            v: Box(i, j)
+            for i, row in enumerate(self.rows, start=1)
+            for j, v in enumerate(row, start=1)
+        }
 
     @property
     def n(self) -> int:
@@ -283,7 +314,7 @@ class StandardTableau:
 
     def position(self, value: int) -> Box:
         try:
-            return self._positions[value]  # type: ignore[attr-defined]
+            return self._positions[value]
         except KeyError:
             raise ValueError(f"value {value} not in tableau") from None
 
@@ -302,9 +333,11 @@ class StandardTableau:
 
     def is_column_ordered(self) -> bool:
         expect = 1
-        for j, height in enumerate(self.diagram.columns, start=1):
-            for i in range(1, height + 1):
-                if self.rows[i - 1][j - 1] != expect:
+        for j in range(len(self.rows[0]) if self.rows else 0):
+            for row in self.rows:
+                if len(row) <= j:
+                    break
+                if row[j] != expect:
                     return False
                 expect += 1
         return True
@@ -328,20 +361,47 @@ def _insert_value(t: StandardTableau, box: Box, value: int) -> StandardTableau:
     return StandardTableau(tuple(tuple(r) for r in rows))
 
 
+Rows = tuple[tuple[int, ...], ...]
+
+
+@lru_cache(maxsize=None)
+def _standard_fillings(shape: tuple[int, ...]) -> tuple[Rows, ...]:
+    """Standard fillings of a shape as plain row tuples, in no fixed order.
+
+    N sits in a corner; the rest is a standard filling of the shape with that
+    corner removed.
+    """
+    n = sum(shape)
+    if n == 0:
+        return ((),)
+    out = []
+    for i in _corner_rows(shape):
+        if shape[i] == 1:
+            for sub in _standard_fillings(shape[:i]):
+                out.append((*sub, (n,)))
+        else:
+            smaller = (*shape[:i], shape[i] - 1, *shape[i + 1:])
+            for sub in _standard_fillings(smaller):
+                out.append((*sub[:i], (*sub[i], n), *sub[i + 1:]))
+    return tuple(out)
+
+
+def _row_word(rows: Rows) -> tuple[int, ...]:
+    return tuple(chain.from_iterable(rows))
+
+
 @lru_cache(maxsize=None)
 def _standard_tableaux(diagram: YoungDiagram) -> tuple[StandardTableau, ...]:
-    n = diagram.n_boxes
-    if n == 0:
-        return (StandardTableau(()),)
-    out = []
-    for box in removable_boxes(diagram):
-        for sub in _standard_tableaux(diagram.remove(box)):
-            out.append(_insert_value(sub, box, n))
-    return tuple(sorted(out, key=StandardTableau.row_word))
+    fillings = sorted(_standard_fillings(diagram.rows), key=_row_word)
+    return tuple(StandardTableau(rows) for rows in fillings)
 
 
 def enumerate_standard_tableaux(diagram: YoungDiagram) -> list[StandardTableau]:
-    """All standard tableaux of a shape, sorted by row-reading word."""
+    """All standard tableaux of a shape, sorted by row-reading word.
+
+    The fillings are built as row tuples; each returned tableau is the only
+    validated ``StandardTableau`` made for it.
+    """
     return list(_standard_tableaux(diagram))
 
 

@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from schurweyl.cli import main
 from schurweyl.verification import CheckResult
@@ -232,3 +234,74 @@ def test_bad_option_is_usage_error(runner, monkeypatch, args, cap):
     assert result.exit_code == 2, result.output
     assert type(result.exception) is SystemExit
     assert "Error" in result.output
+
+
+# sha256 of the JSON output, recorded before the exact layer was rewritten;
+# any change in these bytes breaks the byte-identity promise of the CLI.
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (["sweep", "--max-n", "12", "--max-d", "4"],
+         "d1d0593826234097052344eae070c678ed25c11a8f277c75dd847cc3c8d5c036"),
+        (["sweep", "--max-n", "12"],
+         "41c3b9e7a8cf065789b8004341db6181ee4740d54faf06814d0300b4a5413ce4"),
+        (["tableaux", "--partition", "3,2,2,1", "--d", "4"],
+         "db18ec25394e24154d28955e1730b2ea37374bee71c9bab2e34dc312db481e5e"),
+        (["bound", "--partition", "10,9,8,7,6,5,4,3,2,1"],
+         "482604f69505c3cbaf4132dca2fb27e07095b2ccb26f47015ae1d3a43c1810e3"),
+    ],
+    ids=["sweep-n12-d4", "sweep-n12", "tableaux-3221-d4", "bound-staircase-10"],
+)
+def test_json_output_is_byte_identical(runner, args, digest):
+    result = runner.invoke(main, [*args, "--format", "json"])
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
+
+
+PARTITIONS = ["1", "2", "1,1", "3", "2,1", "1,1,1", "4", "3,1", "2,2", "2,1,1", "1,1,1,1"]
+
+
+def _maximize_args(partition, d, cut, restarts, max_iterations, tolerance):
+    return [
+        "maximize", "--partition", partition, f"--d={d}", f"--cut={cut}",
+        f"--restarts={restarts}", f"--max-iterations={max_iterations}",
+        f"--tolerance={tolerance}",
+    ]
+
+
+ANY_OPTIONS = st.builds(
+    _maximize_args,
+    st.sampled_from(PARTITIONS),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=-1, max_value=5),
+    st.integers(min_value=1, max_value=2),
+    st.sampled_from([-1, 0, 1, 5, 50]),
+    st.sampled_from(["nan", "inf", "-1", "0", "1e-3", "1e-10"]),
+)
+
+
+@st.composite
+def valid_options(draw):
+    # independent draws from ANY_OPTIONS rarely pass every check at once, so
+    # half the examples keep each option in its valid range and reach the ascent
+    partition = draw(st.sampled_from([p for p in PARTITIONS if p not in ("1", "1,1,1,1")]))
+    rows = [int(r) for r in partition.split(",")]
+    return _maximize_args(
+        partition,
+        draw(st.integers(min_value=len(rows), max_value=3)),
+        draw(st.integers(min_value=1, max_value=sum(rows) - 1)),
+        draw(st.integers(min_value=1, max_value=2)),
+        draw(st.sampled_from([1, 5, 50])),
+        draw(st.sampled_from(["1e-3", "1e-10"])),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(args=st.one_of(valid_options(), ANY_OPTIONS))
+def test_maximize_exit_contract(args):
+    # exit 0 success, 1 only with a FAIL line, 2 usage error; never a traceback
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code in (0, 1, 2), result.output
+    assert result.exception is None or type(result.exception) is SystemExit, result.exception
+    if result.exit_code == 1:
+        assert "[FAIL]" in result.output

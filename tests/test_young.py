@@ -1,6 +1,8 @@
 import math
 from collections import Counter
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -45,6 +47,59 @@ def brute_hook(diagram, box):
     return arm + leg + 1
 
 
+# Reference path for the exact layer: every hook by brute_hook, every bound as
+# a chain of Fraction multiplies, every dimension as a product over boxes.
+def reference_removable(diagram):
+    corners = [box for box in diagram.boxes() if brute_hook(diagram, box) == 1]
+    return sorted(corners, key=lambda box: box.col)
+
+
+def reference_bound(diagram, box):
+    height = sum(1 for r in diagram.rows if r >= box.col)
+    out = Fraction(1)
+    for i in range(1, height):
+        h = brute_hook(diagram, Box(i, box.col))
+        out *= Fraction(h - 1, h)
+    return out
+
+
+def reference_max_bound(diagram):
+    best = None
+    for box in reference_removable(diagram):
+        value = reference_bound(diagram, box)
+        if best is None or value > best[0]:
+            best = (value, box)
+    return best
+
+
+def reference_hook_product(diagram):
+    return math.prod(brute_hook(diagram, box) for box in diagram.boxes())
+
+
+def reference_dim_unitary(diagram, d):
+    if d < diagram.n_rows:
+        return 0
+    num = math.prod(d + box.col - box.row for box in diagram.boxes())
+    return Fraction(num, reference_hook_product(diagram))
+
+
+def brute_force_tableaux(diagram):
+    # place every permutation of 1..N into the shape, keep the standard ones
+    n = diagram.n_boxes
+    out = []
+    for perm in permutations(range(1, n + 1)):
+        rows, start = [], 0
+        for r in diagram.rows:
+            rows.append(perm[start:start + r])
+            start += r
+        if all(row[j] < row[j + 1] for row in rows for j in range(len(row) - 1)) and all(
+            rows[i][j] < rows[i + 1][j]
+            for i in range(len(rows) - 1) for j in range(len(rows[i + 1]))
+        ):
+            out.append(tuple(rows))
+    return sorted(out, key=lambda rows: [v for row in rows for v in row])
+
+
 class TestYoungDiagram:
     def test_basic_fields(self):
         dg = YoungDiagram((3, 2, 1))
@@ -69,6 +124,17 @@ class TestYoungDiagram:
             YoungDiagram.from_string("3,x")
         with pytest.raises(ValueError):
             YoungDiagram.from_string("")
+
+    def test_cached_columns_keep_eq_and_hash(self):
+        a, b = YoungDiagram((3, 1)), YoungDiagram((3, 1))
+        before = hash(a)
+        assert a.columns == (2, 1, 1)
+        assert "columns" in vars(a) and "columns" not in vars(b)
+        assert a == b
+        assert hash(a) == before == hash(b)
+        assert a != YoungDiagram((2, 2))
+        with pytest.raises(FrozenInstanceError):
+            a.rows = (4,)
 
     @given(partition_strategy())
     def test_conjugation_involution(self, dg):
@@ -123,6 +189,17 @@ class TestBounds:
         with pytest.raises(ValueError, match="not removable"):
             bound_for_box(YoungDiagram((3, 2, 1)), Box(1, 1))
 
+    @pytest.mark.parametrize(
+        "rows, box",
+        [((2, 1), Box(0, 1)), ((2, 1), Box(3, 1)), ((2, 1), Box(1, 3)), ((2, 1), Box(1, 1)),
+         ((2, 2), Box(1, 2))],
+    )
+    def test_bound_rejects_boxes_off_the_corners(self, rows, box):
+        # outside the diagram as well as inside it, or at the end of a row whose
+        # column goes on: a ValueError, never an IndexError
+        with pytest.raises(ValueError, match="not removable"):
+            bound_for_box(YoungDiagram(rows), box)
+
     def test_max_bound_examples(self):
         assert max_schmidt_bound(YoungDiagram((3, 2, 1))) == (Fraction(1), Box(1, 3))
         assert max_schmidt_bound(YoungDiagram((3, 3, 1))) == (Fraction(3, 5), Box(3, 1))
@@ -156,6 +233,29 @@ class TestBounds:
             return
         value, _ = max_schmidt_bound(dg)
         assert entropy_lower_bound(dg) == pytest.approx(-math.log(value), abs=1e-15)
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_bounds_match_reference(self, n):
+        for dg in partitions_of(n):
+            corners = removable_boxes(dg)
+            assert corners == reference_removable(dg), dg
+            for box in corners:
+                assert bound_for_box(dg, box) == reference_bound(dg, box), (dg, box)
+            if n >= 2:
+                value, witness = max_schmidt_bound(dg)
+                assert (value, witness) == reference_max_bound(dg), dg
+                assert type(witness) is Box
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_dimensions_match_reference(self, n):
+        for dg in partitions_of(n):
+            assert dim_symmetric_group_irrep(dg) == Fraction(
+                math.factorial(n), reference_hook_product(dg)
+            ), dg
+            for d in range(1, 5):
+                assert dim_unitary_group_irrep(dg, d) == reference_dim_unitary(dg, d), (dg, d)
 
 
 class TestDimensions:
@@ -214,6 +314,13 @@ class TestStandardTableaux:
         assert len(enumerate_standard_tableaux(YoungDiagram((5,)))) == 1
         assert len(enumerate_standard_tableaux(YoungDiagram((2, 2)))) == 2
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_enumeration_matches_brute_force(self, n):
+        for dg in partitions_of(n):
+            tableaux = enumerate_standard_tableaux(dg)
+            assert all(type(t) is StandardTableau for t in tableaux)
+            assert [t.rows for t in tableaux] == brute_force_tableaux(dg), dg
+
     def test_enumeration_is_sorted_by_row_word(self):
         tableaux = enumerate_standard_tableaux(YoungDiagram((3, 2)))
         words = [t.row_word() for t in tableaux]
@@ -230,6 +337,12 @@ class TestStandardTableaux:
         tableaux = enumerate_standard_tableaux(dg)
         assert row_ordered_tableau(dg) in tableaux
         assert column_ordered_tableau(dg) in tableaux
+
+    @given(partition_strategy(max_n=7))
+    def test_ordered_flags_mark_the_ordered_fillings(self, dg):
+        for t in enumerate_standard_tableaux(dg):
+            assert t.is_row_ordered() == (t == row_ordered_tableau(dg))
+            assert t.is_column_ordered() == (t == column_ordered_tableau(dg))
 
     def test_ordered_fillings(self):
         dg = YoungDiagram((3, 2, 1))
