@@ -13,6 +13,7 @@ from .young import (
     dim_unitary_group_irrep,
     dominates,
     entropy_lower_bound,
+    enumerate_semistandard_tableaux,
     enumerate_standard_tableaux,
     hook_length,
     max_schmidt_bound,

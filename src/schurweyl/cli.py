@@ -8,6 +8,7 @@ byte-identical for fixed flags and seed.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import asdict
 
@@ -63,7 +64,12 @@ def _check_cap(d: int, n: int) -> None:
 
 
 def _emit_json(payload: dict) -> None:
-    click.echo(json.dumps(payload, indent=2))
+    # Streamed in batches of encoder chunks, so a large sweep never holds
+    # its whole JSON text; the bytes equal json.dumps(payload, indent=2).
+    chunks = json.JSONEncoder(indent=2).iterencode(payload)
+    while batch := "".join(itertools.islice(chunks, 4096)):
+        click.echo(batch, nl=False)
+    click.echo()
 
 
 def _echo_checks(results: list[CheckResult]) -> None:

@@ -161,7 +161,9 @@ def max_lambda1_over_subspace(
     non-decreasing in that objective, so each restart converges to a fixed
     point; the report keeps the best over all restarts.  ``initial_pairs``
     prepends deterministic restarts (e.g. a pair taken from a known
-    saturating state) to the random ones.
+    saturating state) to the random ones.  Each projection reads the
+    ``d^N x dim`` basis matrix in place, as ``mat (prod^H mat)^H``; no
+    conjugate copy of it is made per iteration.
     """
     config = config or MaximizeConfig()
     mat = _basis_matrix(basis)
@@ -198,7 +200,7 @@ def max_lambda1_over_subspace(
         it = 0
         for it in range(1, config.max_iterations + 1):
             prod = np.multiply.outer(alpha, beta).reshape(-1)
-            proj = mat @ (mat.conj().T @ prod)
+            proj = mat @ (prod.conj() @ mat).conj()
             obj = float(np.real(np.vdot(proj, proj)))
             if prev is not None and obj < prev - 1e-12:
                 raise RuntimeError(
@@ -248,18 +250,23 @@ def verify_fixed_point(
 
     A maximizer equals the normalized subspace projection of its own top
     Schmidt pair; the returned norm distance is near zero exactly for such
-    states.  Raises when psi is not (numerically) inside the span.
+    states.  Raises when the basis is not orthonormal or psi is not
+    (numerically) inside its span.
     """
-    mat = _basis_matrix(basis)
+    return _fixed_point_residual(psi, _basis_matrix(basis), k)
+
+
+def _fixed_point_residual(psi: TensorState, mat: np.ndarray, k: int) -> float:
+    # mat holds an orthonormal basis in its columns, already validated.
     vec = psi.amplitudes
-    inside = mat @ (mat.conj().T @ vec)
+    inside = mat @ (vec.conj() @ mat).conj()
     if np.linalg.norm(inside - vec) > 1e-6:
         raise ValueError("state lies outside the span of the basis")
     sr = schmidt_decompose(psi, k)
     pair = np.multiply.outer(
         sr.left_vectors[0].amplitudes, sr.right_vectors[0].amplitudes
     ).reshape(-1)
-    proj = mat @ (mat.conj().T @ pair)
+    proj = mat @ (pair.conj() @ mat).conj()
     nrm = np.linalg.norm(proj)
     if nrm == 0:
         return float(np.linalg.norm(vec))

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -22,18 +21,14 @@ from .orthogonal_form import Permutation, permutation_sign
 from .young import (
     StandardTableau,
     YoungDiagram,
+    _hook_product,
     axial_distance,
     dim_unitary_group_irrep,
-    dominates,
+    enumerate_semistandard_tableaux,
     enumerate_standard_tableaux,
-    hook_length,
 )
 
 DEFAULT_CAP = 2**20
-
-# Residual threshold separating true rank deficiency from rounding during
-# Gram-Schmidt extraction of projector images.
-RANK_TOL = 1e-8
 
 
 class DimensionCapError(ValueError):
@@ -282,20 +277,26 @@ class PermutationSum(OperatorExpr):
         )
 
     def _apply_raw(self, arr: np.ndarray) -> np.ndarray:
-        # arr may be a single flat vector or a (d**n, batch) matrix
-        out = np.zeros_like(arr)
+        # arr may be a single flat vector or a (d**n, batch) matrix.  Each
+        # term is read through a transposed view of the (d,)*n layout, so no
+        # permuted copy is made; scaled terms share one scratch array.
+        batch = arr.shape[1:]
+        trailing = tuple(range(self.n_factors, self.n_factors + len(batch)))
+        src = arr.reshape((self.local_dim,) * self.n_factors + batch)
+        out = np.zeros_like(src)
+        scratch = None
         for coeff, axes in self._plans:
-            if axes is None:
-                term = arr
-            else:
-                term = _permuted(axes, arr, self.local_dim, self.n_factors)
+            term = src if axes is None else src.transpose(axes + trailing)
             if coeff == 1.0:
                 out += term
             elif coeff == -1.0:
                 out -= term
             else:
-                out += coeff * term
-        return out
+                if scratch is None:
+                    scratch = np.empty_like(out)
+                np.multiply(term, coeff, out=scratch)
+                out += scratch
+        return out.reshape(arr.shape)
 
 
 class ProductOp(OperatorExpr):
@@ -388,15 +389,8 @@ def column_antisymmetrizer(t: StandardTableau, j: int, d: int) -> OperatorExpr:
 
 
 def _normalization(diagram: YoungDiagram) -> Fraction:
-    num = 1
-    for r in diagram.rows:
-        num *= math.factorial(r)
-    for c in diagram.columns:
-        num *= math.factorial(c)
-    den = 1
-    for box in diagram.boxes():
-        den *= hook_length(diagram, box)
-    return Fraction(num, den)
+    num = math.prod(map(math.factorial, (*diagram.rows, *diagram.columns)))
+    return Fraction(num, _hook_product(diagram))
 
 
 def _row_parts(t: StandardTableau, d: int) -> list[OperatorExpr]:
@@ -488,48 +482,41 @@ def closed_form_projector(t: StandardTableau, d: int) -> OperatorExpr:
     return ProductOp(d, t.n, factors, scale=_normalization(t.diagram))
 
 
-def _index_candidates(diagram: YoungDiagram, d: int, n: int):
-    # Basis tuples in flat order, skipping those whose content multiplicities
-    # cannot occur in this diagram's block (dominance-order filter).
-    rows = diagram.rows
-    for idx in itertools.product(range(d), repeat=n):
-        mult = tuple(sorted(Counter(idx).values(), reverse=True))
-        if dominates(rows, mult):
-            yield idx
+def _seed_matrix(t: StandardTableau, d: int) -> np.ndarray:
+    # The columns of subspace_basis(t, d).  A function of its own, so the
+    # candidates, their projection and R are freed before any transport.
+    n = t.n
+    fillings = enumerate_semistandard_tableaux(t.diagram, d)
+    weights = np.array([d ** (n - v) for row in t.rows for v in row])
+    digits = np.array([[x for row in f for x in row] for f in fillings])
+    candidates = np.zeros((d**n, len(fillings)), dtype=np.complex128)
+    candidates[digits @ weights, np.arange(len(fillings))] = 1.0
+    q, r = np.linalg.qr(orthogonal_projector(t, d)._apply_raw(candidates))
+    # A dependent candidate leaves a diagonal entry of R at rounding level;
+    # genuine entries stay far above this (>= 0.016 for N <= 7, d <= 4).
+    diag = np.abs(np.diagonal(r))
+    rank = int((diag > math.sqrt(np.finfo(float).eps) * diag.max()).sum())
+    expected = dim_unitary_group_irrep(t.diagram, d)
+    if rank != expected:
+        raise ArithmeticError(
+            f"found {rank} independent directions, expected {expected} "
+            f"for tableau {t} at d={d}"
+        )
+    return q
 
 
 def subspace_basis(t: StandardTableau, d: int) -> list[TensorState]:
     """Orthonormal basis of the image of the tableau's sector projector.
 
-    Computational basis states are projected in flat-index order and fed
-    through Gram-Schmidt with the rank tolerance; the scan stops once the
-    exact dimension from the content/hook formula is reached.  Empty when d
-    is smaller than the number of rows.
+    The candidates are the dim V product states indexed by the semistandard
+    fillings T of the shape with 0..d-1, with digit T(box) on factor t(box);
+    all of them are projected in one batch and orthonormalized by one QR
+    factorization.  Raises ``ArithmeticError`` when their images fall short
+    of full rank.  Empty when d is smaller than the number of rows.
     """
-    diagram = t.diagram
-    n = t.n
-    if d < diagram.n_rows:
+    if d < t.diagram.n_rows:
         return []
-    expected = dim_unitary_group_irrep(diagram, d)
-    proj = orthogonal_projector(t, d)
-    kept: list[np.ndarray] = []
-    for idx in _index_candidates(diagram, d, n):
-        if len(kept) == expected:
-            break
-        vec = proj._apply_raw(TensorState.product_basis(d, idx).amplitudes)
-        for _ in range(2):  # re-orthogonalize once for numerical headroom
-            for b in kept:
-                vec = vec - np.vdot(b, vec) * b
-        nrm = np.linalg.norm(vec)
-        if nrm < RANK_TOL:
-            continue
-        kept.append(vec / nrm)
-    if len(kept) != expected:
-        raise ArithmeticError(
-            f"found {len(kept)} independent directions, expected {expected} "
-            f"for tableau {t} at d={d}"
-        )
-    return [TensorState(d, n, vec) for vec in kept]
+    return [TensorState(d, t.n, col) for col in _seed_matrix(t, d).T]
 
 
 def aligned_sector_bases(
@@ -538,37 +525,44 @@ def aligned_sector_bases(
     """Sector bases sharing one basis of the unitary-group factor.
 
     Vector a of each sector corresponds to the same unitary-group basis
-    vector: starting from the first tableau in canonical order, bases are
-    transported across adjacent-entry swaps, whose mixing coefficient
-    sqrt(1 - 1/r^2) is positive and fixes all relative phases.  With this
-    alignment the permutation action is block-diagonal in the unitary index
-    and reproduces the orthogonal-form matrices on the tableau labels.
+    vector.  The first tableau in canonical order gets the basis of
+    :func:`subspace_basis`; every other tableau s = (k k+1) t is reached
+    across an adjacent-entry swap with axial distance |r| >= 2, where Young's
+    orthogonal form reads sigma_k v_t = v_t / r + sqrt(1 - 1/r^2) v_s.  So
+    v_s = (sigma_k v_t - v_t / r) / sqrt(1 - 1/r^2): one permutation and one
+    axpy per swap, no projector.  The positive mixing coefficient fixes all
+    relative phases, so the permutation action is block-diagonal in the
+    unitary index and reproduces the orthogonal-form matrices on the tableau
+    labels.
     """
     tableaux = enumerate_standard_tableaux(diagram)
     n = diagram.n_boxes
     if d < diagram.n_rows:
         return {t: [] for t in tableaux}
     first = tableaux[0]
-    bases: dict[StandardTableau, list[TensorState]] = {first: subspace_basis(first, d)}
+    mats = {first: _seed_matrix(first, d)}
     frontier = [first]
     while frontier:
         t = frontier.pop()
         for k in range(1, n):
-            if abs(axial_distance(t, k)) < 2:
+            r = axial_distance(t, k)
+            if abs(r) < 2:
                 continue
             s = t.with_swap(k)
-            if s in bases:
+            if s in mats:
                 continue
-            mat = np.column_stack([b.amplitudes for b in bases[t]])
-            swapped = permute_matrix_columns(
-                Permutation.transposition(n, k, k + 1), mat, d, n
+            # A fresh array: the swap moves two axes of length d >= 2.
+            v_s = permute_matrix_columns(
+                Permutation.transposition(n, k, k + 1), mats[t], d, n
             )
-            projected = orthogonal_projector(s, d)._apply_raw(swapped)
-            bases[s] = [TensorState(d, n, col).normalized() for col in projected.T]
+            v_s *= r
+            v_s -= mats[t]
+            v_s /= math.copysign(math.sqrt(r * r - 1), r)
+            mats[s] = v_s
             frontier.append(s)
-    if len(bases) != len(tableaux):
+    if len(mats) != len(tableaux):
         raise ArithmeticError("swap moves failed to reach every tableau")
-    return {t: bases[t] for t in tableaux}
+    return {t: [TensorState(d, n, col) for col in mats.pop(t).T] for t in tableaux}
 
 
 def block_basis(diagram: YoungDiagram, d: int) -> list[TensorState]:

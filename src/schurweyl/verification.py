@@ -14,7 +14,7 @@ import numpy as np
 
 from .orthogonal_form import Permutation, permutation_matrix
 from .special_states import coherent_state, optimizer_state
-from .spectral import schmidt_decompose, verify_fixed_point
+from .spectral import _basis_matrix, _fixed_point_residual, schmidt_decompose
 from .tensor_space import (
     aligned_sector_bases,
     apply_local_unitary,
@@ -122,9 +122,8 @@ def run_verification(
     record("sector dimensions", worst_dim, 0.5, f"dim {expected_dim} per sector")
 
     # Stack the aligned bases, tableau-major: column ti*dim + a holds vector a
-    # of sector ti.
-    full_basis = [b for t in tableaux for b in bases[t]]
-    block_mat = np.column_stack([b.amplitudes for b in full_basis])
+    # of sector ti.  Its orthonormality is validated here, once.
+    block_mat = _basis_matrix([b for t in tableaux for b in bases[t]])
 
     # Random combinations of the sector bases must be fixed by the block sum.
     combo_count = min(block_mat.shape[1], max(3, samples))
@@ -207,7 +206,7 @@ def run_verification(
             worst_sat = max(worst_sat, abs(lam1**2 - float(bound_for_box(diagram, box))))
             t_box = tableau_with_largest_in(diagram, box)
             worst_mem = max(worst_mem, (projectors[t_box](state) - state).norm())
-            worst_fix = max(worst_fix, verify_fixed_point(state, full_basis, n - 1))
+            worst_fix = max(worst_fix, _fixed_point_residual(state, block_mat, n - 1))
     record("saturation of the exact bound", worst_sat, 1e-8)
     record("saturating-state membership", worst_mem, 1e-8)
     record("saturating-state fixed point", worst_fix, 1e-7)

@@ -6,7 +6,8 @@ A diagram caches its conjugate, so a hook length costs O(1); the corners are
 found in one scan of the rows; each corner bound is a single ``Fraction``
 built from integer products; and both dimension formulas share one integer
 hook product.  Standard tableaux are enumerated on plain row tuples and each
-is validated once, as it is returned.
+is validated once, as it is returned; semistandard fillings, which index a
+weight basis of the unitary-group factor, are plain row tuples throughout.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain
+from itertools import chain, combinations_with_replacement
 from typing import Iterator, NamedTuple
 
 
@@ -403,6 +404,27 @@ def enumerate_standard_tableaux(diagram: YoungDiagram) -> list[StandardTableau]:
     validated ``StandardTableau`` made for it.
     """
     return list(_standard_tableaux(diagram))
+
+
+def enumerate_semistandard_tableaux(diagram: YoungDiagram, d: int) -> list[Rows]:
+    """Fillings with 0..d-1, weakly increasing along rows and strictly down
+    columns, as row tuples sorted by row-reading word.
+
+    There are ``dim_unitary_group_irrep(diagram, d)`` of them: they index a
+    weight basis of the unitary-group factor (Fulton, *Young Tableaux*, ch. 8).
+    Empty when d is smaller than the number of rows.
+    """
+    if d < 1:
+        raise ValueError("local dimension must be at least 1")
+    fillings: list[Rows] = [()]
+    for r in diagram.rows:
+        fillings = [
+            (*rows, row)
+            for rows in fillings
+            for row in combinations_with_replacement(range(d), r)
+            if not rows or all(a > b for a, b in zip(row, rows[-1]))
+        ]
+    return fillings
 
 
 def row_ordered_tableau(diagram: YoungDiagram) -> StandardTableau:

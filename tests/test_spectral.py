@@ -238,6 +238,38 @@ class TestMaximization:
         assert direct.best_lambda1_sq == pytest.approx(moved.best_lambda1_sq, abs=1e-6)
 
 
+# Recorded before the ascent read the basis matrix without a conjugate copy
+# and before the block basis came from the batched seed: restart iteration
+# counts, index of the best restart and best objective, at 32 restarts.
+ASCENT_RECORD = [
+    ((2, 2, 1), 3, 2, 0, 1, 0.9999999999976598, (
+        16, 15, 15, 15, 15, 15, 18, 26, 18, 17, 16, 15, 15, 19, 15, 14,
+        15, 15, 14, 14, 20, 15, 18, 14, 15, 16, 14, 15, 16, 14, 15, 14)),
+    ((2, 2, 1), 3, 2, 1, 3, 0.9999999999976311, (
+        15, 14, 14, 43, 15, 15, 19, 14, 14, 15, 15, 16, 15, 16, 18, 14,
+        15, 16, 17, 16, 16, 17, 14, 16, 14, 15, 15, 16, 15, 18, 14, 15)),
+    ((3, 2, 1), 3, 5, 0, 16, 0.9999999999633118, (
+        30, 30, 31, 29, 30, 31, 29, 30, 30, 30, 30, 30, 30, 30, 29, 30,
+        30, 30, 30, 30, 30, 29, 30, 30, 30, 30, 29, 30, 30, 30, 30, 30)),
+    ((3, 2, 1), 3, 5, 1, 21, 0.9999999999642883, (
+        29, 29, 29, 29, 30, 30, 30, 30, 29, 29, 29, 29, 30, 30, 30, 30,
+        30, 30, 30, 29, 30, 30, 29, 30, 29, 30, 30, 30, 30, 30, 30, 30)),
+]
+
+
+@pytest.mark.parametrize(
+    "rows, d, cut, seed, best_restart, best_value, iterations", ASCENT_RECORD,
+    ids=[f"{''.join(map(str, r[0]))}-d{r[1]}-cut{r[2]}-seed{r[3]}" for r in ASCENT_RECORD],
+)
+def test_ascent_matches_record(rows, d, cut, seed, best_restart, best_value, iterations):
+    basis = block_basis(YoungDiagram(rows), d)
+    report = max_lambda1_over_subspace(basis, cut, MaximizeConfig(seed=seed))
+    assert report.iterations == iterations
+    assert report.converged == (True,) * 32
+    assert report.best_restart == best_restart
+    assert report.best_lambda1_sq == pytest.approx(best_value, abs=1e-12)
+
+
 class TestFixedPoint:
     def test_singlet_is_fixed(self):
         assert verify_fixed_point(singlet(), [singlet()], 1) < 1e-10

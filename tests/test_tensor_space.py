@@ -1,4 +1,7 @@
+import itertools
 import json
+import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from schurweyl.tensor_space import (
     column_antisymmetrizer,
     flat_dim_cap,
     orthogonal_projector,
+    permute_matrix_columns,
     random_state,
     row_symmetrizer,
     subspace_basis,
@@ -27,8 +31,10 @@ from schurweyl.tensor_space import (
 from schurweyl.young import (
     StandardTableau,
     YoungDiagram,
+    axial_distance,
     column_ordered_tableau,
     dim_unitary_group_irrep,
+    dominates,
     enumerate_standard_tableaux,
     partitions_of,
     remove_largest,
@@ -368,6 +374,34 @@ class TestClosedForms:
             closed_form_projector(t, 2)
 
 
+def scan_basis(t, d):
+    """Per-candidate extraction, the oracle for the batched seed.
+
+    Projects computational basis states one at a time in flat-index order,
+    skipping those whose digit multiplicities the block cannot hold
+    (dominance order), and keeps each image that Gram-Schmidt leaves with
+    norm above 1e-8, until dim V directions are found.
+    """
+    dg = t.diagram
+    expected = dim_unitary_group_irrep(dg, d)
+    proj = orthogonal_projector(t, d)
+    kept = []
+    for idx in itertools.product(range(d), repeat=t.n):
+        if len(kept) == expected:
+            break
+        if not dominates(dg.rows, tuple(sorted(Counter(idx).values(), reverse=True))):
+            continue
+        vec = proj._apply_raw(TensorState.product_basis(d, idx).amplitudes)
+        for _ in range(2):
+            for b in kept:
+                vec = vec - np.vdot(b, vec) * b
+        nrm = np.linalg.norm(vec)
+        if nrm > 1e-8:
+            kept.append(vec / nrm)
+    assert len(kept) == expected
+    return np.column_stack(kept) if kept else np.zeros((d**t.n, 0), dtype=complex)
+
+
 class TestSubspaceBasis:
     def test_dimensions(self):
         t = StandardTableau(((1,), (2,)))
@@ -408,11 +442,39 @@ class TestSubspaceBasis:
         mat = np.column_stack([b.amplitudes for b in basis])
         np.testing.assert_allclose(mat.conj().T @ mat, np.eye(len(basis)), atol=1e-10)
         reference = sum(
-            np.outer(v.amplitudes, v.amplitudes.conj())
-            for t in tableaux
-            for v in subspace_basis(t, d)
+            (lambda q: q @ q.conj().T)(scan_basis(t, d)) for t in tableaux
         )
         np.testing.assert_allclose(mat @ mat.conj().T, reference, atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "n, d",
+        [
+            pytest.param(n, d, marks=pytest.mark.slow) if d**n > 4**6 else (n, d)
+            for d in range(1, 5)
+            for n in range(1, 8)
+        ],
+    )
+    def test_seed_spans_sector(self, n, d):
+        # every shape: orthonormal, dim V vectors, and where the scan is cheap
+        # the same span (compared without d^N x d^N projectors:
+        # ||Q_scan^H Q||_F^2 equals dim V exactly when they agree).  Every
+        # tableau up to 4^6; at 4^7, where all 232 tableaux take minutes, the
+        # first one of each shape, which is the one block_basis seeds from.
+        for nu in partitions_of(n):
+            expected = dim_unitary_group_irrep(nu, d)
+            tableaux = enumerate_standard_tableaux(nu)
+            if d**n > 4**6:
+                tableaux = tableaux[:1]
+            for t in tableaux:
+                basis = subspace_basis(t, d)
+                assert len(basis) == expected
+                if not basis:
+                    continue
+                q = np.column_stack([b.amplitudes for b in basis])
+                np.testing.assert_allclose(q.conj().T @ q, np.eye(expected), atol=1e-10)
+                if d**n <= 256:
+                    overlap = np.linalg.norm(scan_basis(t, d).conj().T @ q) ** 2
+                    assert overlap == pytest.approx(expected, abs=1e-10)
 
 
 class TestAlignedBases:
@@ -431,6 +493,29 @@ class TestAlignedBases:
                     for b, w in enumerate(bases[s]):
                         expected = m[si, ti] if a == b else 0.0
                         assert abs(w.inner(image) - expected) < 1e-12
+
+    @pytest.mark.parametrize(
+        "rows, d", [((3, 2, 1), 3), ((2, 2, 1, 1), 4)], ids=["321-d3", "2211-d4"]
+    )
+    def test_transport_is_orthogonal_form(self, rows, d):
+        # sigma_k v_t = v_t / r + sqrt(1 - 1/r^2) v_s, s = (k k+1) t, for the
+        # axial distance r; for |r| = 1 there is no s and sigma_k v_t = r v_t
+        dg = YoungDiagram(rows)
+        n = dg.n_boxes
+        mats = {
+            t: np.column_stack([b.amplitudes for b in basis])
+            for t, basis in aligned_sector_bases(dg, d).items()
+        }
+        for t, v_t in mats.items():
+            for k in range(1, n):
+                r = axial_distance(t, k)
+                expected = v_t / r
+                if abs(r) >= 2:
+                    expected = expected + math.sqrt(1 - 1 / r**2) * mats[t.with_swap(k)]
+                moved = permute_matrix_columns(
+                    Permutation.transposition(n, k, k + 1), v_t, d, n
+                )
+                np.testing.assert_allclose(moved, expected, rtol=0, atol=1e-12)
 
     def test_swap_then_cut_matches_direct_trace(self):
         # moving factor k to the end and cutting there reproduces the

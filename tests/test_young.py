@@ -2,7 +2,7 @@ import math
 from collections import Counter
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,6 +18,7 @@ from schurweyl.young import (
     dim_unitary_group_irrep,
     dominates,
     entropy_lower_bound,
+    enumerate_semistandard_tableaux,
     enumerate_standard_tableaux,
     hook_length,
     max_schmidt_bound,
@@ -289,6 +290,48 @@ class TestDimensions:
         assert len(partitions_of(3)) == 3
         assert len(partitions_of(4)) == 5
         assert len(partitions_of(8)) == 22
+
+
+def brute_force_semistandard(diagram, d):
+    # place every word over 0..d-1 into the shape, keep the semistandard ones
+    out = []
+    for word in product(range(d), repeat=diagram.n_boxes):
+        rows, start = [], 0
+        for r in diagram.rows:
+            rows.append(word[start:start + r])
+            start += r
+        if all(row[j] <= row[j + 1] for row in rows for j in range(len(row) - 1)) and all(
+            rows[i][j] < rows[i + 1][j]
+            for i in range(len(rows) - 1) for j in range(len(rows[i + 1]))
+        ):
+            out.append(tuple(rows))
+    return out
+
+
+class TestSemistandardTableaux:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_brute_force(self, n):
+        # the brute force runs over words in increasing order, so it is
+        # already sorted by row word
+        for dg in partitions_of(n):
+            for d in range(1, 4):
+                assert enumerate_semistandard_tableaux(dg, d) == brute_force_semistandard(dg, d)
+
+    def test_count_is_unitary_dimension(self):
+        for n in range(1, 9):
+            for dg in partitions_of(n):
+                for d in range(1, 5):
+                    fillings = enumerate_semistandard_tableaux(dg, d)
+                    assert len(fillings) == dim_unitary_group_irrep(dg, d)
+
+    def test_examples(self):
+        assert enumerate_semistandard_tableaux(YoungDiagram((2, 1)), 2) == [
+            ((0, 0), (1,)),
+            ((0, 1), (1,)),
+        ]
+        assert enumerate_semistandard_tableaux(YoungDiagram((1, 1, 1)), 2) == []
+        with pytest.raises(ValueError):
+            enumerate_semistandard_tableaux(YoungDiagram((2,)), 0)
 
 
 class TestStandardTableaux:
