@@ -19,7 +19,6 @@ from .spectral import (
     MaximizeConfig,
     max_lambda1_over_subspace,
     schmidt_decompose,
-    verify_fixed_point,
 )
 from .tensor_space import block_basis, flat_dim_cap
 from .verification import CheckResult, run_verification
@@ -260,7 +259,7 @@ def maximize(ctx: click.Context, partition: str, d: int | None, cut: int | None,
         analytic_bound=exact,
         initial_pairs=pairs,
     )
-    residual = verify_fixed_point(report.maximizer, basis, cut)
+    residual = report.fixed_point_residual
     gap = abs(float(exact) - report.best_lambda1_sq)
     best = report.best_restart
     checks = [

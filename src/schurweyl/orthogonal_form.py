@@ -125,10 +125,6 @@ class IrrepMatrix:
     basis: tuple[StandardTableau, ...]
     entries: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
 
 @lru_cache(maxsize=None)
 def _adjacent_matrix(diagram: YoungDiagram, k: int) -> IrrepMatrix:

@@ -101,6 +101,8 @@ class MaximizationReport:
 
     ``best_restart`` indexes the restart whose final objective is
     ``best_lambda1_sq`` in ``iterations`` and ``converged``.
+    ``fixed_point_residual`` is :func:`verify_fixed_point` of the maximizer
+    at the cut, computed on the basis matrix the ascent validated.
     """
 
     best_lambda1_sq: float
@@ -109,6 +111,7 @@ class MaximizationReport:
     converged: tuple[bool, ...]
     best_restart: int
     maximizer: TensorState
+    fixed_point_residual: float
     cut: int
     analytic_bound: Fraction | None = None
     seed: int | None = None
@@ -159,7 +162,9 @@ def max_lambda1_over_subspace(
     by the top Schmidt pair of the result and repeat until the squared
     projection norm stops increasing.  Every iteration is monotonically
     non-decreasing in that objective, so each restart converges to a fixed
-    point; the report keeps the best over all restarts.  ``initial_pairs``
+    point; the report keeps the best over all restarts.  A restart counts
+    only when its last step produced a state: one that ends on a reset from
+    a start orthogonal to the subspace does not.  ``initial_pairs``
     prepends deterministic restarts (e.g. a pair taken from a known
     saturating state) to the random ones.  Each projection reads the
     ``d^N x dim`` basis matrix in place, as ``mat (prod^H mat)^H``; no
@@ -195,6 +200,7 @@ def max_lambda1_over_subspace(
     for index, start in enumerate(starts):
         alpha, beta = start if start is not None else (random_side(dim_a), random_side(dim_b))
         prev = None
+        psi = None
         trace: list[float] = []
         done = False
         it = 0
@@ -211,6 +217,7 @@ def max_lambda1_over_subspace(
                 # product state (numerically) orthogonal to the subspace
                 alpha, beta = random_side(dim_a), random_side(dim_b)
                 prev = None
+                psi = None
                 continue
             psi = proj / math.sqrt(obj)
             if prev is not None and obj - prev < config.tol:
@@ -223,19 +230,21 @@ def max_lambda1_over_subspace(
         iterations.append(it)
         converged.append(done)
         traces.append(tuple(trace))
-        if trace and trace[-1] > best_obj:
+        if psi is not None and trace[-1] > best_obj:
             best_obj = trace[-1]
             best_restart = index
             best_psi = psi
     if best_psi is None:
         raise RuntimeError("no restart produced a state inside the subspace")
+    maximizer = TensorState(d, n, best_psi)
     return MaximizationReport(
         best_lambda1_sq=best_obj,
         restarts=len(starts),
         iterations=tuple(iterations),
         converged=tuple(converged),
         best_restart=best_restart,
-        maximizer=TensorState(d, n, best_psi),
+        maximizer=maximizer,
+        fixed_point_residual=_fixed_point_residual(maximizer, mat, k),
         cut=k,
         analytic_bound=analytic_bound,
         seed=config.seed,

@@ -2,14 +2,14 @@
 
 Row symmetrizers, column antisymmetrizers, Young projections, the hermitian
 sector projectors (products of Jucys-Murphy interpolation stages) and their
-closed forms are all sums of permutations, and every permutation acts as an
-axis transpose of the (d,)*n view; the full d^n x d^n matrices are never
+closed forms are all one operator type, a product of stages
+scale * (shift + sum of signed permutations), and every permutation acts as
+an axis transpose of the (d,)*n view; the full d^n x d^n matrices are never
 materialized.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from fractions import Fraction
@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .orthogonal_form import Permutation, permutation_sign
+from .orthogonal_form import Permutation
 from .young import (
     StandardTableau,
     YoungDiagram,
@@ -233,19 +233,61 @@ def apply_local_unitary(psi: TensorState, u) -> TensorState:
     return TensorState(d, psi.n_factors, nd.reshape(-1))
 
 
-class OperatorExpr:
-    """Linear map on tensor states, applied matrix-free.
+Stage = tuple[Fraction, Fraction, tuple[tuple[int, Permutation], ...]]
 
-    Subclasses implement ``_apply_raw`` on flat amplitude arrays; calling the
+
+class OperatorExpr:
+    """Product of stages scale * (shift * 1 + sum_i sign_i sigma_i), applied
+    matrix-free, rightmost stage first.
+
+    Each stage is ``(scale, shift, ((sign, sigma), ...))`` with every sign
+    +1 or -1.  Every operator this module builds has this form: symmetrizer
+    stages (1 +- sum tau) / j and Jucys-Murphy stages (X_k - c') / (c_k - c'),
+    with an exact normalization folded into one stage's scale.  Calling the
     operator on a :class:`TensorState` validates the space and wraps the
     result.  Linearity holds by construction.
     """
 
-    local_dim: int
-    n_factors: int
+    def __init__(self, local_dim: int, n_factors: int, stages: Iterable[Stage]) -> None:
+        self.local_dim = local_dim
+        self.n_factors = n_factors
+        self.stages = tuple(
+            (Fraction(scale), Fraction(shift), tuple(terms))
+            for scale, shift, terms in stages
+        )
+        for _, _, terms in self.stages:
+            for sign, sigma in terms:
+                if sign not in (1, -1):
+                    raise ValueError("stage terms carry a sign of +1 or -1")
+                if sigma.size != n_factors:
+                    raise ValueError("permutation size must match the operator space")
+        self._plans = tuple(
+            (float(scale), float(shift), tuple((sign, _axes_for(sigma)) for sign, sigma in terms))
+            for scale, shift, terms in reversed(self.stages)
+        )
 
     def _apply_raw(self, arr: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        # arr may be a single flat vector or a (d**n, batch) matrix.  Each
+        # term is read through a transposed view of the (d,)*n layout, so no
+        # permuted copy is made.
+        batch = arr.shape[1:]
+        trailing = tuple(range(self.n_factors, self.n_factors + len(batch)))
+        src = arr.reshape((self.local_dim,) * self.n_factors + batch)
+        for scale, shift, terms in self._plans:
+            acc = np.empty_like(src)
+            if shift:
+                np.multiply(src, shift, out=acc)
+            else:
+                acc.fill(0)
+            for sign, axes in terms:
+                if sign > 0:
+                    acc += src.transpose(axes + trailing)
+                else:
+                    acc -= src.transpose(axes + trailing)
+            if scale != 1.0:
+                acc *= scale
+            src = acc
+        return src.reshape(arr.shape)
 
     def __call__(self, psi: TensorState) -> TensorState:
         if psi.local_dim != self.local_dim or psi.n_factors != self.n_factors:
@@ -256,75 +298,13 @@ class OperatorExpr:
         return TensorState(self.local_dim, self.n_factors, self._apply_raw(psi.amplitudes))
 
 
-class PermutationSum(OperatorExpr):
-    """Real linear combination of permutation actions."""
-
-    def __init__(
-        self,
-        local_dim: int,
-        n_factors: int,
-        terms: Iterable[tuple[float, Permutation]],
-    ) -> None:
-        self.local_dim = local_dim
-        self.n_factors = n_factors
-        self.terms = tuple((float(c), sigma) for c, sigma in terms)
-        for _, sigma in self.terms:
-            if sigma.size != n_factors:
-                raise ValueError("permutation size must match the operator space")
-        self._plans = tuple(
-            (c, None if sigma.is_identity() else _axes_for(sigma))
-            for c, sigma in self.terms
-        )
-
-    def _apply_raw(self, arr: np.ndarray) -> np.ndarray:
-        # arr may be a single flat vector or a (d**n, batch) matrix.  Each
-        # term is read through a transposed view of the (d,)*n layout, so no
-        # permuted copy is made; scaled terms share one scratch array.
-        batch = arr.shape[1:]
-        trailing = tuple(range(self.n_factors, self.n_factors + len(batch)))
-        src = arr.reshape((self.local_dim,) * self.n_factors + batch)
-        out = np.zeros_like(src)
-        scratch = None
-        for coeff, axes in self._plans:
-            term = src if axes is None else src.transpose(axes + trailing)
-            if coeff == 1.0:
-                out += term
-            elif coeff == -1.0:
-                out -= term
-            else:
-                if scratch is None:
-                    scratch = np.empty_like(out)
-                np.multiply(term, coeff, out=scratch)
-                out += scratch
-        return out.reshape(arr.shape)
-
-
-class ProductOp(OperatorExpr):
-    """Scaled product of operators, applied rightmost factor first."""
-
-    def __init__(
-        self,
-        local_dim: int,
-        n_factors: int,
-        factors: Sequence[OperatorExpr],
-        scale: Fraction | float = 1,
-    ) -> None:
-        self.local_dim = local_dim
-        self.n_factors = n_factors
-        self.factors = tuple(factors)
-        for op in self.factors:
-            if op.local_dim != local_dim or op.n_factors != n_factors:
-                raise ValueError("product factors must share the operator space")
-        self.scale = scale
-        self._scale_float = float(scale)
-
-    def _apply_raw(self, arr: np.ndarray) -> np.ndarray:
-        out = arr
-        for op in reversed(self.factors):
-            out = op._apply_raw(out)
-        if self._scale_float != 1.0:
-            out = self._scale_float * out
-        return out
+def _compose(d: int, n: int, factors: Sequence[OperatorExpr], scale: Fraction) -> OperatorExpr:
+    """The product of the factors as written (the rightmost acts first),
+    times an exact scale folded into the stage applied last."""
+    stages = [stage for op in factors for stage in op.stages] or [(Fraction(1), Fraction(1), ())]
+    last, shift, terms = stages[0]
+    stages[0] = (last * scale, shift, terms)
+    return OperatorExpr(d, n, stages)
 
 
 def _subset_permutation_sum(
@@ -336,30 +316,18 @@ def _subset_permutation_sum(
     (1/j)(1 +- sum_i (members_i members_j)): every subgroup element factors
     uniquely as an element fixing the last point times one of these
     transpositions, so the product expands to the full signed average with
-    j instead of j! terms per stage.
+    j instead of j! terms per stage.  For k <= 1 there is no stage: the
+    identity.
     """
-    members = tuple(sorted(members))
-    k = len(members)
-    if k <= 2:
-        coeff = 1.0 / math.factorial(k)
-        terms = []
-        for perm in itertools.permutations(members):
-            images = list(range(1, n + 1))
-            for src, dst in zip(members, perm):
-                images[src - 1] = dst
-            sign = permutation_sign(perm) if signed else 1
-            terms.append((sign * coeff, Permutation(tuple(images))))
-        return PermutationSum(d, n, terms)
+    members = sorted(members)
+    sign = -1 if signed else 1
     stages = []
-    sign = -1.0 if signed else 1.0
-    for j in range(2, k + 1):
-        terms = [(1.0, Permutation.identity(n))]
-        terms.extend(
-            (sign, Permutation.transposition(n, members[i], members[j - 1]))
-            for i in range(j - 1)
+    for j in range(2, len(members) + 1):
+        swaps = tuple(
+            (sign, Permutation.transposition(n, m, members[j - 1])) for m in members[: j - 1]
         )
-        stages.append(PermutationSum(d, n, terms))
-    return ProductOp(d, n, stages, scale=Fraction(1, math.factorial(k)))
+        stages.append((Fraction(1, j), 1, swaps))
+    return OperatorExpr(d, n, stages)
 
 
 def symmetrizer(d: int, n: int) -> OperatorExpr:
@@ -394,19 +362,11 @@ def _normalization(diagram: YoungDiagram) -> Fraction:
 
 
 def _row_parts(t: StandardTableau, d: int) -> list[OperatorExpr]:
-    return [
-        row_symmetrizer(t, i, d)
-        for i, r in enumerate(t.diagram.rows, start=1)
-        if r >= 2
-    ]
+    return [row_symmetrizer(t, i, d) for i in range(1, t.diagram.n_rows + 1)]
 
 
 def _column_parts(t: StandardTableau, d: int) -> list[OperatorExpr]:
-    return [
-        column_antisymmetrizer(t, j, d)
-        for j, c in enumerate(t.diagram.columns, start=1)
-        if c >= 2
-    ]
+    return [column_antisymmetrizer(t, j, d) for j in range(1, t.diagram.n_cols + 1)]
 
 
 def young_projection(t: StandardTableau, d: int) -> OperatorExpr:
@@ -418,7 +378,7 @@ def young_projection(t: StandardTableau, d: int) -> OperatorExpr:
     if d < 1:
         raise ValueError("local dimension must be at least 1")
     factors = (*_row_parts(t, d), *_column_parts(t, d))
-    return ProductOp(d, t.n, factors, scale=_normalization(t.diagram))
+    return _compose(d, t.n, factors, _normalization(t.diagram))
 
 
 def orthogonal_projector(t: StandardTableau, d: int) -> OperatorExpr:
@@ -439,7 +399,6 @@ def orthogonal_projector(t: StandardTableau, d: int) -> OperatorExpr:
     n = t.n
     if n < 1:
         raise ValueError("tableau must be nonempty")
-    identity = Permutation.identity(n)
     rows: list[int] = []  # row lengths of the shape holding 1..k-1
     stages = []
     for k in range(1, n + 1):
@@ -447,20 +406,17 @@ def orthogonal_projector(t: StandardTableau, d: int) -> OperatorExpr:
         content = col - row
         addable = [r - i for i, r in enumerate(rows) if i == 0 or rows[i - 1] > r]
         addable.append(-len(rows))
-        swaps = [Permutation.transposition(n, i, k) for i in range(1, k)]
-        for other in addable:
-            if other == content:
-                continue
-            scale = 1.0 / (content - other)
-            terms = [(scale, sigma) for sigma in swaps]
-            if other:
-                terms.append((-other * scale, identity))
-            stages.append(PermutationSum(d, n, terms))
+        swaps = tuple((1, Permutation.transposition(n, i, k)) for i in range(1, k))
+        stages.extend(
+            (Fraction(1, content - other), -other, swaps)
+            for other in addable
+            if other != content
+        )
         if row > len(rows):
             rows.append(1)
         else:
             rows[row - 1] += 1
-    return ProductOp(d, n, stages)
+    return OperatorExpr(d, n, stages)
 
 
 def closed_form_projector(t: StandardTableau, d: int) -> OperatorExpr:
@@ -479,7 +435,7 @@ def closed_form_projector(t: StandardTableau, d: int) -> OperatorExpr:
         factors = (*a_parts, *s_parts, *a_parts)
     else:
         raise ValueError("closed form unavailable: tableau is neither row- nor column-ordered")
-    return ProductOp(d, t.n, factors, scale=_normalization(t.diagram))
+    return _compose(d, t.n, factors, _normalization(t.diagram))
 
 
 def _seed_matrix(t: StandardTableau, d: int) -> np.ndarray:

@@ -308,11 +308,6 @@ class StandardTableau:
     def n(self) -> int:
         return sum(len(r) for r in self.rows)
 
-    def entry(self, box: Box) -> int:
-        if not (1 <= box.row <= len(self.rows) and 1 <= box.col <= len(self.rows[box.row - 1])):
-            raise ValueError(f"box outside tableau: {box}")
-        return self.rows[box.row - 1][box.col - 1]
-
     def position(self, value: int) -> Box:
         try:
             return self._positions[value]

@@ -228,6 +228,34 @@ class TestMaximization:
         blob = report.to_json_dict(include_trace=True)
         assert len(blob["objective_traces"]) == 2
 
+    def test_orthogonal_start_ending_on_reset_raises(self):
+        # e0 x e0 has no singlet component: the only step resets the pair
+        e0 = TensorState.single([1, 0])
+        with pytest.raises(RuntimeError, match="no restart produced a state"):
+            max_lambda1_over_subspace(
+                [singlet()], 1, MaximizeConfig(restarts=0, max_iterations=1),
+                initial_pairs=[(e0, e0)],
+            )
+
+    def test_random_restarts_follow_orthogonal_start(self):
+        e0 = TensorState.single([1, 0])
+        report = max_lambda1_over_subspace(
+            [singlet()], 1, MaximizeConfig(restarts=2, max_iterations=1, seed=0),
+            initial_pairs=[(e0, e0)],
+        )
+        assert report.objective_traces[0] == (0.0,)
+        assert report.best_restart in (1, 2)
+        assert report.best_lambda1_sq == report.objective_traces[report.best_restart][-1]
+        assert report.best_lambda1_sq > 0
+        # the one-dimensional subspace holds only the singlet, up to phase
+        assert abs(abs(singlet().inner(report.maximizer)) - 1) < 1e-12
+
+    @pytest.mark.parametrize("rows, d, cut", [((2, 2), 2, 3), ((2, 1, 1), 3, 2)])
+    def test_report_residual_equals_verify(self, rows, d, cut):
+        basis = block_basis(YoungDiagram(rows), d)
+        report = max_lambda1_over_subspace(basis, cut, MaximizeConfig(restarts=4, seed=0))
+        assert report.fixed_point_residual == verify_fixed_point(report.maximizer, basis, cut)
+
     def test_cut_covariance(self):
         # splitting off factor 1 instead of the last factor gives the same max
         dg = YoungDiagram((2, 1))

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from schurweyl.orthogonal_form import Permutation
 from schurweyl.tensor_space import (
     DimensionCapError,
-    PermutationSum,
+    OperatorExpr,
     TensorState,
     aligned_sector_bases,
     antisymmetrizer,
@@ -137,16 +138,36 @@ class TestPermutationAction:
 
     @pytest.mark.parametrize("d, n", [(2, 4), (3, 3)])
     def test_permutation_sum_matches_single_actions(self, d, n):
+        # scale * (shift + sum +-sigma) per stage, the rightmost stage first
         rng = np.random.default_rng(d * 10 + n)
-        terms = [(float(rng.standard_normal()), Permutation.random(n, rng)) for _ in range(4)]
-        terms.append((0.5, Permutation.identity(n)))
-        op = PermutationSum(d, n, terms)
+        stages = [
+            (
+                Fraction(int(rng.integers(1, 9)), int(rng.integers(1, 9))),
+                Fraction(int(rng.integers(-3, 4)), 2),
+                tuple((int(rng.choice([-1, 1])), Permutation.random(n, rng)) for _ in range(3)),
+            )
+            for _ in range(3)
+        ]
+        op = OperatorExpr(d, n, stages)
         states = [random_state(d, n, rng) for _ in range(3)]
-        batch = op._apply_raw(np.column_stack([x.amplitudes for x in states]))
+        batch_in = np.column_stack([x.amplitudes for x in states])
+        batch = op._apply_raw(batch_in)
         for col, x in enumerate(states):
-            expected = sum(c * apply_permutation(sigma, x).amplitudes for c, sigma in terms)
+            expected = x.amplitudes
+            for scale, shift, terms in reversed(stages):
+                acted = [sign * apply_permutation(sigma, TensorState(d, n, expected)).amplitudes
+                         for sign, sigma in terms]
+                expected = float(scale) * (float(shift) * expected + sum(acted))
             np.testing.assert_allclose(op._apply_raw(x.amplitudes), expected, atol=1e-13)
             np.testing.assert_allclose(batch[:, col], expected, atol=1e-13)
+            np.testing.assert_array_equal(batch_in[:, col], x.amplitudes)
+
+    def test_stage_validation(self):
+        swap = Permutation.transposition(3, 1, 2)
+        with pytest.raises(ValueError, match="sign"):
+            OperatorExpr(2, 3, [(1, 0, ((2, swap),))])
+        with pytest.raises(ValueError, match="size"):
+            OperatorExpr(2, 4, [(1, 0, ((1, swap),))])
 
     def test_swap_factors(self):
         psi = random_state(2, 4, RNG)
@@ -258,15 +279,121 @@ class TestYoungProjection:
         assert worst_herm > 1e-3  # genuinely non-hermitian
 
 
+# Dense operator oracle, independent of the package's operator code: group
+# algebra elements are dicts {one-line images: Fraction}, multiplied exactly
+# with (sigma tau)(k) = sigma(tau(k)), and turned into d^n x d^n matrices by
+# flat-index arithmetic, out[j_1..j_n] = psi[j_sigma(1)..j_sigma(n)].
+
+
+def group_average(n, members, signed):
+    """(1/k!) sum over the permutations of ``members``, signed by parity
+    when asked; the other points are fixed."""
+    members = sorted(members)
+    out = {}
+    for perm in itertools.permutations(members):
+        images = list(range(1, n + 1))
+        for src, dst in zip(members, perm):
+            images[src - 1] = dst
+        odd = sum(a > b for a, b in itertools.combinations(perm, 2)) % 2
+        out[tuple(images)] = Fraction(-1 if signed and odd else 1, math.factorial(len(members)))
+    return out
+
+
+def algebra_product(n, *elements):
+    result = {tuple(range(1, n + 1)): Fraction(1)}
+    for element in elements:
+        product = {}
+        for sigma, a in result.items():
+            for tau, b in element.items():
+                key = tuple(sigma[v - 1] for v in tau)
+                product[key] = product.get(key, 0) + a * b
+        result = product
+    return result
+
+
+def dense(element, n, d):
+    digits = np.array(list(itertools.product(range(d), repeat=n)), dtype=np.int64)
+    weights = d ** np.arange(n - 1, -1, -1)
+    rows = np.arange(d**n)
+    out = np.zeros((d**n, d**n))
+    for images, coeff in element.items():
+        out[rows, digits[:, np.array(images) - 1] @ weights] += float(coeff)
+    return out
+
+
+def tableau_columns(t):
+    return [[row[j] for row in t.rows if len(row) > j] for j in range(len(t.rows[0]))]
+
+
+def row_and_column_averages(t):
+    rows = [group_average(t.n, row, False) for row in t.rows]
+    cols = [group_average(t.n, col, True) for col in tableau_columns(t)]
+    return rows, cols
+
+
+def hook_product_by_definition(t):
+    shape = [len(row) for row in t.rows]
+    return math.prod(
+        shape[i] - j + sum(1 for r in shape[i + 1 :] if r > j)
+        for i in range(len(shape))
+        for j in range(shape[i])
+    )
+
+
+def young_scale(t):
+    # rows! columns! / hooks: the averages carry 1/|R| 1/|C|, the idempotent
+    # Young symmetrizer (sum_R p)(sum_C sgn(q) q) carries 1/hooks
+    rows, cols = row_and_column_averages(t)
+    size = math.prod(len(g) for g in rows + cols)
+    return Fraction(size, hook_product_by_definition(t))
+
+
+def oracle_young(t, d):
+    rows, cols = row_and_column_averages(t)
+    element = algebra_product(t.n, *rows, *cols)
+    return float(young_scale(t)) * dense(element, t.n, d)
+
+
+def oracle_closed_form(t, d):
+    rows, cols = row_and_column_averages(t)
+    if t.is_row_ordered():
+        factors = (*rows, *cols, *rows)
+    else:
+        factors = (*cols, *rows, *cols)
+    return float(young_scale(t)) * dense(algebra_product(t.n, *factors), t.n, d)
+
+
 def sandwich_projector(t, d):
     """Dense reference: the recursive sandwich P_t = P_t' Y_t P_t', where t'
     drops the largest entry and P_t' acts on the leading factors."""
-    n = t.n
-    y = young_projection(t, d)._apply_raw(np.eye(d**n, dtype=np.complex128))
-    if n <= 2:
+    y = oracle_young(t, d)
+    if t.n <= 2:
         return y
     sub = np.kron(sandwich_projector(remove_largest(t), d), np.eye(d))
     return sub @ y @ sub
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_operators_match_dense_oracle(n, d):
+    eye = np.eye(d**n, dtype=np.complex128)
+
+    def check(op, expected):
+        np.testing.assert_allclose(op._apply_raw(eye), expected, rtol=0, atol=1e-12)
+
+    everything = range(1, n + 1)
+    check(symmetrizer(d, n), dense(group_average(n, everything, False), n, d))
+    check(antisymmetrizer(d, n), dense(group_average(n, everything, True), n, d))
+    for nu in partitions_of(n):
+        for t in enumerate_standard_tableaux(nu):
+            for i, row in enumerate(t.rows, start=1):
+                check(row_symmetrizer(t, i, d), dense(group_average(n, row, False), n, d))
+            for j, col in enumerate(tableau_columns(t), start=1):
+                check(column_antisymmetrizer(t, j, d), dense(group_average(n, col, True), n, d))
+            check(young_projection(t, d), oracle_young(t, d))
+            if t.is_row_ordered() or t.is_column_ordered():
+                check(closed_form_projector(t, d), oracle_closed_form(t, d))
+            check(orthogonal_projector(t, d), sandwich_projector(t, d))
 
 
 class TestOrthogonalProjector:
