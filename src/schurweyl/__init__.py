@@ -35,7 +35,6 @@ from .tensor_space import (
     DimensionCapError,
     OperatorExpr,
     TensorState,
-    aligned_sector_bases,
     antisymmetrizer,
     apply_local_unitary,
     apply_permutation,

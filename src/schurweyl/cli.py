@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
+import os
 from dataclasses import asdict
 
 import click
@@ -20,7 +22,7 @@ from .spectral import (
     max_lambda1_over_subspace,
     schmidt_decompose,
 )
-from .tensor_space import block_basis, flat_dim_cap
+from .tensor_space import _check_within_cap, block_basis
 from .verification import CheckResult, run_verification
 from .young import (
     YoungDiagram,
@@ -51,14 +53,37 @@ def _require_boxes(diagram: YoungDiagram, minimum: int) -> None:
         )
 
 
-def _check_cap(d: int, n: int) -> None:
+def _physical_memory() -> float:
     try:
-        cap = flat_dim_cap()
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # not known on this platform
+        return math.inf
+
+
+def _check_cap(diagram: YoungDiagram, d: int, samples: int | None = None) -> None:
+    """Usage error unless d**N is within the cap and the run's dense arrays
+    fit in physical memory.
+
+    The estimate is exact integer arithmetic, made before anything is
+    allocated: the complex block matrix, and for ``verify`` (``samples``
+    given) also its permuted and conjugated copies and every tableau's
+    projection of the samples.
+    """
+    n = diagram.n_boxes
+    try:
+        _check_within_cap(d**n)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
-    if d**n > cap:
+    vector = 16 * d**n
+    f = dim_symmetric_group_irrep(diagram)
+    need = vector * f * dim_unitary_group_irrep(diagram, d)
+    if samples is not None:
+        need = 3 * need + vector * f * samples
+    memory = _physical_memory()
+    if need > memory:
         raise click.UsageError(
-            f"d**n = {d**n} exceeds the cap {cap}; set SCHURWEYL_CAP to raise it"
+            f"this run needs about {need} bytes of dense arrays, more than the "
+            f"{memory} bytes of physical memory"
         )
 
 
@@ -182,7 +207,7 @@ def verify(ctx: click.Context, partition: str, d: int | None, seed: int,
     diagram = _parse_partition(partition)
     _require_boxes(diagram, 1)
     d = diagram.n_rows if d is None else d
-    _check_cap(d, diagram.n_boxes)
+    _check_cap(diagram, d, samples)
     results = run_verification(diagram, d, seed=seed, samples=samples)
     ok = all(r.passed for r in results)
     payload = {
@@ -243,7 +268,7 @@ def maximize(ctx: click.Context, partition: str, d: int | None, cut: int | None,
             err=True,
         )
         raise click.UsageError("no block to maximize over at this d")
-    _check_cap(d, n)
+    _check_cap(diagram, d)
     basis = block_basis(diagram, d)
     exact, witness = max_schmidt_bound(diagram)
 
@@ -254,6 +279,7 @@ def maximize(ctx: click.Context, partition: str, d: int | None, cut: int | None,
         pairs.append((sr.left_vectors[0], sr.right_vectors[0]))
     report = max_lambda1_over_subspace(
         basis,
+        d,
         cut,
         config,
         analytic_bound=exact,

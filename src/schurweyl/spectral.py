@@ -133,22 +133,33 @@ class MaximizationReport:
         return out
 
 
-def _basis_matrix(basis: Sequence[TensorState]) -> np.ndarray:
-    if not basis:
+def _check_orthonormal(mat: np.ndarray) -> None:
+    # The Gram matrix on and above the diagonal, for 32 MiB of columns at a
+    # time: only those columns are conjugated, never the whole matrix.
+    rows, cols = mat.shape
+    if cols == 0:
         raise ValueError("empty basis")
-    d, n = basis[0].local_dim, basis[0].n_factors
-    for b in basis:
-        if b.local_dim != d or b.n_factors != n:
-            raise ValueError("basis states live on different spaces")
-    mat = np.column_stack([b.amplitudes for b in basis])
-    gram = mat.conj().T @ mat
-    if np.abs(gram - np.eye(len(basis))).max() > BASIS_TOL:
-        raise ValueError("basis is not orthonormal")
-    return mat
+    step = max(1, (1 << 25) // (rows * mat.itemsize))
+    for j in range(0, cols, step):
+        gram = mat[:, j : j + step].conj().T @ mat[:, j:]
+        if np.abs(gram - np.eye(*gram.shape)).max() > BASIS_TOL:
+            raise ValueError("basis is not orthonormal")
+
+
+def _factor_count(rows: int, d: int, k: int) -> int:
+    # N with d**N == rows, in integers.  At d = 1 every N fits, and the
+    # least one the cut allows, k + 1, is taken.
+    n = 0
+    while d > 1 and d**n < rows:
+        n += 1
+    if d < 1 or d**n != rows:
+        raise ValueError(f"{rows} rows is not a power of the local dimension {d}")
+    return n if d > 1 else k + 1
 
 
 def max_lambda1_over_subspace(
-    basis: Sequence[TensorState],
+    basis: np.ndarray,
+    d: int,
     k: int,
     config: MaximizeConfig | None = None,
     *,
@@ -166,13 +177,14 @@ def max_lambda1_over_subspace(
     only when its last step produced a state: one that ends on a reset from
     a start orthogonal to the subspace does not.  ``initial_pairs``
     prepends deterministic restarts (e.g. a pair taken from a known
-    saturating state) to the random ones.  Each projection reads the
-    ``d^N x dim`` basis matrix in place, as ``mat (prod^H mat)^H``; no
-    conjugate copy of it is made per iteration.
+    saturating state) to the random ones.  ``basis`` is the ``d^N x dim``
+    matrix of an orthonormal basis (N is read off its rows), which each
+    projection reads in place, as ``mat (prod^H mat)^H``: no conjugate copy.
     """
     config = config or MaximizeConfig()
-    mat = _basis_matrix(basis)
-    d, n = basis[0].local_dim, basis[0].n_factors
+    mat = np.asarray(basis)
+    _check_orthonormal(mat)
+    n = _factor_count(mat.shape[0], d, k)
     if not 1 <= k <= n - 1:
         raise ValueError(f"cut must be in 1..{n - 1}")
     dim_a, dim_b = d**k, d ** (n - k)
@@ -184,7 +196,9 @@ def max_lambda1_over_subspace(
 
     starts: list[tuple[np.ndarray, np.ndarray] | None] = []
     for a, b in initial_pairs:
-        if a.local_dim != d or a.n_factors != k or b.n_factors != n - k:
+        if a.local_dim != d or b.local_dim != d:
+            raise ValueError(f"initial pair does not live on local dimension {d}")
+        if a.n_factors != k or b.n_factors != n - k:
             raise ValueError("initial pair does not match the cut")
         starts.append((a.normalized().amplitudes, b.normalized().amplitudes))
     starts.extend([None] * config.restarts)
@@ -252,17 +266,23 @@ def max_lambda1_over_subspace(
     )
 
 
-def verify_fixed_point(
-    psi: TensorState, basis: Sequence[TensorState], k: int
-) -> float:
+def verify_fixed_point(psi: TensorState, basis: np.ndarray, k: int) -> float:
     """Residual of the maximizer fixed-point equation.
 
     A maximizer equals the normalized subspace projection of its own top
     Schmidt pair; the returned norm distance is near zero exactly for such
-    states.  Raises when the basis is not orthonormal or psi is not
-    (numerically) inside its span.
+    states.  ``basis`` holds an orthonormal basis in its columns.  Raises
+    when it is not orthonormal, has another row count than psi has
+    amplitudes, or psi is not (numerically) inside its span.
     """
-    return _fixed_point_residual(psi, _basis_matrix(basis), k)
+    mat = np.asarray(basis)
+    _check_orthonormal(mat)
+    if mat.shape[0] != psi.amplitudes.shape[0]:
+        raise ValueError(
+            f"basis has {mat.shape[0]} rows, but the state lives on "
+            f"d={psi.local_dim}, n={psi.n_factors}"
+        )
+    return _fixed_point_residual(psi, mat, k)
 
 
 def _fixed_point_residual(psi: TensorState, mat: np.ndarray, k: int) -> float:

@@ -49,6 +49,14 @@ def flat_dim_cap() -> int:
     return cap
 
 
+def _check_within_cap(total: int) -> None:
+    cap = flat_dim_cap()
+    if total > cap:
+        raise DimensionCapError(
+            f"d**n = {total} exceeds the cap {cap}; set SCHURWEYL_CAP to raise it"
+        )
+
+
 class TensorState:
     """Dense complex vector in (C^d)^(tensor n).
 
@@ -66,11 +74,7 @@ class TensorState:
         if n_factors < 1:
             raise ValueError("need at least one tensor factor")
         total = local_dim**n_factors
-        cap = flat_dim_cap()
-        if total > cap:
-            raise DimensionCapError(
-                f"d**n = {total} exceeds the cap {cap}; set SCHURWEYL_CAP to raise it"
-            )
+        _check_within_cap(total)
         amps = np.array(amplitudes, dtype=np.complex128).reshape(-1)
         if amps.shape != (total,):
             raise ValueError(
@@ -438,10 +442,19 @@ def closed_form_projector(t: StandardTableau, d: int) -> OperatorExpr:
     return _compose(d, t.n, factors, _normalization(t.diagram))
 
 
-def _seed_matrix(t: StandardTableau, d: int) -> np.ndarray:
-    # The columns of subspace_basis(t, d).  A function of its own, so the
-    # candidates, their projection and R are freed before any transport.
+def subspace_basis(t: StandardTableau, d: int) -> np.ndarray:
+    """Orthonormal basis of the tableau's sector, as a ``(d**N, dim V)`` matrix.
+
+    The candidates are the dim V product states indexed by the semistandard
+    fillings T of the shape with 0..d-1, with digit T(box) on factor t(box);
+    all of them are projected in one batch and orthonormalized by one QR
+    factorization.  Raises ``ArithmeticError`` when their images fall short
+    of full rank.  No column when d is smaller than the number of rows.
+    """
     n = t.n
+    _check_within_cap(d**n)
+    if d < t.diagram.n_rows:
+        return np.zeros((d**n, 0), dtype=np.complex128)
     fillings = enumerate_semistandard_tableaux(t.diagram, d)
     weights = np.array([d ** (n - v) for row in t.rows for v in row])
     digits = np.array([[x for row in f for x in row] for f in fillings])
@@ -461,71 +474,53 @@ def _seed_matrix(t: StandardTableau, d: int) -> np.ndarray:
     return q
 
 
-def subspace_basis(t: StandardTableau, d: int) -> list[TensorState]:
-    """Orthonormal basis of the image of the tableau's sector projector.
+def block_basis(diagram: YoungDiagram, d: int) -> np.ndarray:
+    """Orthonormal basis of the diagram's whole block: one C-ordered
+    ``(d**N, f * dim V)`` matrix, no column when d is smaller than the number
+    of rows.
 
-    The candidates are the dim V product states indexed by the semistandard
-    fillings T of the shape with 0..d-1, with digit T(box) on factor t(box);
-    all of them are projected in one batch and orthonormalized by one QR
-    factorization.  Raises ``ArithmeticError`` when their images fall short
-    of full rank.  Empty when d is smaller than the number of rows.
+    Tableau-major: column ``i * dim V + a`` holds vector a of the sector of
+    the i-th tableau in canonical order, and vector a of every sector
+    corresponds to the same unitary-group basis vector.  The first tableau's
+    columns are :func:`subspace_basis`; every other tableau s = (k k+1) t is
+    reached across an adjacent-entry swap with axial distance |r| >= 2, where
+    Young's orthogonal form reads sigma_k v_t = v_t / r + sqrt(1 - 1/r^2) v_s.
+    So v_s = (sigma_k v_t - v_t / r) / sqrt(1 - 1/r^2): one permutation and
+    one axpy per swap, written into the columns of s, no projector.  The
+    positive mixing coefficient fixes all relative phases, so the permutation
+    action is block-diagonal in the unitary index and reproduces the
+    orthogonal-form matrices on the tableau labels.
     """
-    if d < t.diagram.n_rows:
-        return []
-    return [TensorState(d, t.n, col) for col in _seed_matrix(t, d).T]
-
-
-def aligned_sector_bases(
-    diagram: YoungDiagram, d: int
-) -> dict[StandardTableau, list[TensorState]]:
-    """Sector bases sharing one basis of the unitary-group factor.
-
-    Vector a of each sector corresponds to the same unitary-group basis
-    vector.  The first tableau in canonical order gets the basis of
-    :func:`subspace_basis`; every other tableau s = (k k+1) t is reached
-    across an adjacent-entry swap with axial distance |r| >= 2, where Young's
-    orthogonal form reads sigma_k v_t = v_t / r + sqrt(1 - 1/r^2) v_s.  So
-    v_s = (sigma_k v_t - v_t / r) / sqrt(1 - 1/r^2): one permutation and one
-    axpy per swap, no projector.  The positive mixing coefficient fixes all
-    relative phases, so the permutation action is block-diagonal in the
-    unitary index and reproduces the orthogonal-form matrices on the tableau
-    labels.
-    """
-    tableaux = enumerate_standard_tableaux(diagram)
     n = diagram.n_boxes
+    _check_within_cap(d**n)
     if d < diagram.n_rows:
-        return {t: [] for t in tableaux}
+        return np.zeros((d**n, 0), dtype=np.complex128)
+    tableaux = enumerate_standard_tableaux(diagram)
     first = tableaux[0]
-    mats = {first: _seed_matrix(first, d)}
+    seed = subspace_basis(first, d)  # its temporaries are freed before the block exists
+    # sectors[..., i, :] is the (d,)*n view of the columns of tableau i.
+    sectors = np.empty((d,) * n + (len(tableaux), seed.shape[1]), dtype=np.complex128)
+    sectors[..., 0, :] = seed.reshape(sectors.shape[:n] + seed.shape[1:])
+    index = {t: i for i, t in enumerate(tableaux)}
+    reached = {first}
     frontier = [first]
     while frontier:
         t = frontier.pop()
+        v_t = sectors[..., index[t], :]
         for k in range(1, n):
             r = axial_distance(t, k)
             if abs(r) < 2:
                 continue
             s = t.with_swap(k)
-            if s in mats:
+            if s in reached:
                 continue
-            # A fresh array: the swap moves two axes of length d >= 2.
-            v_s = permute_matrix_columns(
-                Permutation.transposition(n, k, k + 1), mats[t], d, n
-            )
+            v_s = sectors[..., index[s], :]
+            v_s[...] = v_t.transpose(_axes_for(Permutation.transposition(n, k, k + 1)) + (n,))
             v_s *= r
-            v_s -= mats[t]
+            v_s -= v_t
             v_s /= math.copysign(math.sqrt(r * r - 1), r)
-            mats[s] = v_s
+            reached.add(s)
             frontier.append(s)
-    if len(mats) != len(tableaux):
+    if len(reached) != len(tableaux):
         raise ArithmeticError("swap moves failed to reach every tableau")
-    return {t: [TensorState(d, n, col) for col in mats.pop(t).T] for t in tableaux}
-
-
-def block_basis(diagram: YoungDiagram, d: int) -> list[TensorState]:
-    """Orthonormal basis of the diagram's whole block: all sectors combined.
-
-    The aligned sector bases flattened tableau-major: every vector of the
-    first tableau in canonical order, then the second, and so on.  Empty
-    when d is smaller than the number of rows.
-    """
-    return [b for basis in aligned_sector_bases(diagram, d).values() for b in basis]
+    return sectors.reshape(d**n, -1)

@@ -14,10 +14,10 @@ import numpy as np
 
 from .orthogonal_form import Permutation, permutation_matrix
 from .special_states import coherent_state, optimizer_state
-from .spectral import _basis_matrix, _fixed_point_residual, schmidt_decompose
+from .spectral import _check_orthonormal, _fixed_point_residual, schmidt_decompose
 from .tensor_space import (
-    aligned_sector_bases,
     apply_local_unitary,
+    block_basis,
     closed_form_projector,
     orthogonal_projector,
     permute_matrix_columns,
@@ -114,16 +114,13 @@ def run_verification(
                "block absent at this d; remaining checks vacuous")
         return results
 
+    # The aligned sector bases, tableau-major: column ti*dim + a holds vector
+    # a of sector ti.  Its orthonormality is validated here, once.
     expected_dim = dim_unitary_group_irrep(diagram, d)
-    bases = aligned_sector_bases(diagram, d)
-    worst_dim = 0.0
-    for t in tableaux:
-        worst_dim = max(worst_dim, abs(len(bases[t]) - expected_dim))
+    block_mat = block_basis(diagram, d)
+    _check_orthonormal(block_mat)
+    worst_dim = abs(block_mat.shape[1] / len(tableaux) - expected_dim)
     record("sector dimensions", worst_dim, 0.5, f"dim {expected_dim} per sector")
-
-    # Stack the aligned bases, tableau-major: column ti*dim + a holds vector a
-    # of sector ti.  Its orthonormality is validated here, once.
-    block_mat = _basis_matrix([b for t in tableaux for b in bases[t]])
 
     # Random combinations of the sector bases must be fixed by the block sum.
     combo_count = min(block_mat.shape[1], max(3, samples))

@@ -22,7 +22,6 @@ from schurweyl.spectral import (
 from schurweyl.special_states import optimizer_state
 from schurweyl.tensor_space import (
     TensorState,
-    aligned_sector_bases,
     block_basis,
     closed_form_projector,
     orthogonal_projector,
@@ -159,12 +158,8 @@ def test_criterion_5_orthogonal_form_cross_check():
         rng = np.random.default_rng(n)
         for nu in partitions_of(n):
             d = max(2, nu.n_rows)
-            tableaux = enumerate_standard_tableaux(nu)
-            bases = aligned_sector_bases(nu, d)
             dim_v = dim_unitary_group_irrep(nu, d)
-            mat = np.column_stack(
-                [b.amplitudes for t in tableaux for b in bases[t]]
-            )
+            mat = block_basis(nu, d)
             sigmas = [Permutation.transposition(n, k, k + 1) for k in range(1, n)]
             sigmas.append(Permutation.random(n, rng))
             for sigma in sigmas:
@@ -185,8 +180,8 @@ def test_criterion_6_schmidt_confinement():
             d = max(2, nu.n_rows)
             for t in enumerate_standard_tableaux(nu):
                 down = orthogonal_projector(remove_largest(t), d)
-                for vec in subspace_basis(t, d):
-                    sr = schmidt_decompose(vec, n - 1)
+                for col in subspace_basis(t, d).T:
+                    sr = schmidt_decompose(TensorState(d, n, col), n - 1)
                     for lam, phi in zip(sr.coefficients, sr.left_vectors):
                         if lam > 1e-8:
                             worst = max(worst, (down(phi) - phi).norm())
@@ -220,13 +215,12 @@ def test_criterion_8_entropy_corollary():
     for n in (2, 3, 4):
         for nu in partitions_of(n):
             d = nu.n_rows
-            basis = block_basis(nu, d)
-            mat = np.column_stack([b.amplitudes for b in basis])
+            mat = block_basis(nu, d)
             bound = entropy_lower_bound(nu)
             rng = np.random.default_rng(n * 1000 + d)
             for _ in range(200):
-                coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(
-                    len(basis)
+                coeffs = rng.standard_normal(mat.shape[1]) + 1j * rng.standard_normal(
+                    mat.shape[1]
                 )
                 coeffs /= np.linalg.norm(coeffs)
                 psi = TensorState(d, n, mat @ coeffs)

@@ -204,6 +204,33 @@ class TestSweep:
         assert runner.invoke(main, ["sweep", "--max-n", "1"]).exit_code == 2
 
 
+class TestMemoryEstimate:
+    # dense bytes: 16 * d**N per vector; the (2,1) block at d = 2 has
+    # f * dim V = 2 * 2 columns of 8 amplitudes
+    @pytest.mark.parametrize("args, need", [
+        (["maximize", "--partition", "2,1", "--d", "2"], 16 * 8 * 4),
+        # verify: the block three times plus 2 tableaux x 5 sample projections
+        (["verify", "--partition", "2,1", "--d", "2"], 3 * 16 * 8 * 4 + 16 * 8 * 2 * 5),
+        # below the cap (4**9 <= 2**20), but its block alone is 14.1 GB
+        (["maximize", "--partition", "3,3,2,1", "--d", "4"], 16 * 4**9 * 3360),
+    ], ids=["maximize", "verify", "maximize-3321-d4"])
+    def test_run_over_physical_memory_is_usage_error(self, runner, monkeypatch, args, need):
+        import schurweyl.cli as cli
+
+        monkeypatch.setattr(cli, "_physical_memory", lambda: need - 1)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert f"about {need} bytes" in result.output
+        assert f"{need - 1} bytes of physical memory" in result.output
+
+    def test_run_within_physical_memory_goes_ahead(self, runner, monkeypatch):
+        import schurweyl.cli as cli
+
+        monkeypatch.setattr(cli, "_physical_memory", lambda: 3 * 16 * 8 * 4 + 16 * 8 * 2 * 5)
+        result = runner.invoke(main, ["verify", "--partition", "2,1", "--d", "2"])
+        assert result.exit_code == 0, result.output
+
+
 @pytest.mark.parametrize(
     "args, cap",
     [

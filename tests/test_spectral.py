@@ -11,13 +11,14 @@ from schurweyl.spectral import (
     schmidt_decompose,
     verify_fixed_point,
 )
+from schurweyl.orthogonal_form import Permutation
 from schurweyl.special_states import OrthonormalFrame, optimizer_state, slater
 from schurweyl.tensor_space import (
     TensorState,
     apply_local_unitary,
     block_basis,
+    permute_matrix_columns,
     random_state,
-    swap_factors,
 )
 from schurweyl.young import (
     Box,
@@ -34,6 +35,10 @@ def singlet():
     return (
         TensorState.product_basis(2, [0, 1]) - TensorState.product_basis(2, [1, 0])
     ).normalized()
+
+
+def singlet_basis():
+    return singlet().amplitudes[:, None]
 
 
 def naive_partial_trace(psi, keep):
@@ -164,28 +169,27 @@ class TestEntropy:
 
 class TestMaximization:
     def test_antisymmetric_two_qubits(self):
-        basis = [singlet()]
-        report = max_lambda1_over_subspace(basis, 1, MaximizeConfig(restarts=4, seed=0))
+        report = max_lambda1_over_subspace(singlet_basis(), 2, 1, MaximizeConfig(restarts=4, seed=0))
         assert report.best_lambda1_sq == pytest.approx(0.5, abs=1e-10)
 
     def test_mixed_symmetry_block_reaches_one(self):
         basis = block_basis(YoungDiagram((2, 1)), 2)
-        report = max_lambda1_over_subspace(basis, 2, MaximizeConfig(restarts=16, seed=1))
+        report = max_lambda1_over_subspace(basis, 2, 2, MaximizeConfig(restarts=16, seed=1))
         assert report.best_lambda1_sq == pytest.approx(1.0, abs=1e-7)
 
     def test_square_diagram_reaches_half(self):
         basis = block_basis(YoungDiagram((2, 2)), 2)
-        report = max_lambda1_over_subspace(basis, 3, MaximizeConfig(restarts=16, seed=0))
+        report = max_lambda1_over_subspace(basis, 2, 3, MaximizeConfig(restarts=16, seed=0))
         assert report.best_lambda1_sq == pytest.approx(0.5, abs=1e-6)
 
     def test_staircase_block_reaches_one(self):
         basis = block_basis(YoungDiagram((3, 2, 1)), 3)
-        report = max_lambda1_over_subspace(basis, 5, MaximizeConfig(restarts=12, seed=0))
+        report = max_lambda1_over_subspace(basis, 3, 5, MaximizeConfig(restarts=12, seed=0))
         assert report.best_lambda1_sq == pytest.approx(1.0, abs=1e-6)
 
     def test_monotone_traces(self):
         basis = block_basis(YoungDiagram((2, 2)), 2)
-        report = max_lambda1_over_subspace(basis, 3, MaximizeConfig(restarts=8, seed=3))
+        report = max_lambda1_over_subspace(basis, 2, 3, MaximizeConfig(restarts=8, seed=3))
         for trace in report.objective_traces:
             diffs = np.diff(np.array(trace))
             assert (diffs >= -1e-12).all()
@@ -196,7 +200,7 @@ class TestMaximization:
             d = dg.n_rows
             basis = block_basis(dg, d)
             report = max_lambda1_over_subspace(
-                basis, dg.n_boxes - 1, MaximizeConfig(restarts=6, seed=0),
+                basis, d, dg.n_boxes - 1, MaximizeConfig(restarts=6, seed=0),
                 analytic_bound=max_schmidt_bound(dg)[0],
             )
             assert report.best_lambda1_sq <= float(report.analytic_bound) + 1e-7
@@ -207,7 +211,7 @@ class TestMaximization:
         state = optimizer_state(dg, Box(2, 2), d=2)
         sr = schmidt_decompose(state, 3)
         report = max_lambda1_over_subspace(
-            basis, 3, MaximizeConfig(restarts=1, seed=0),
+            basis, 2, 3, MaximizeConfig(restarts=1, seed=0),
             initial_pairs=[(sr.left_vectors[0], sr.right_vectors[0])],
         )
         assert report.restarts == 2
@@ -215,14 +219,30 @@ class TestMaximization:
 
     def test_input_validation(self):
         with pytest.raises(ValueError, match="empty"):
-            max_lambda1_over_subspace([], 1)
-        bad = [TensorState.product_basis(2, [0, 1]), TensorState.product_basis(2, [0, 1])]
+            max_lambda1_over_subspace(np.zeros((4, 0), dtype=complex), 2, 1)
+        column = TensorState.product_basis(2, [0, 1]).amplitudes
+        bad = np.column_stack([column, column])
         with pytest.raises(ValueError, match="orthonormal"):
-            max_lambda1_over_subspace(bad, 1)
+            max_lambda1_over_subspace(bad, 2, 1)
+        with pytest.raises(ValueError, match="not a power"):
+            max_lambda1_over_subspace(np.eye(6, 1, dtype=complex), 2, 1)
+        with pytest.raises(ValueError, match="not a power"):
+            max_lambda1_over_subspace(singlet_basis(), 3, 1)
+
+    def test_rejects_pair_on_another_local_dimension(self):
+        # the right factor has d = 3, the basis d = 2
+        pair = (TensorState.single([1, 0]), TensorState.single([0, 1, 0]))
+        with pytest.raises(ValueError, match="local dimension 2"):
+            max_lambda1_over_subspace(singlet_basis(), 2, 1, initial_pairs=[pair])
+
+    def test_one_dimensional_factors(self):
+        # at d = 1 the row count fixes no N; the least one the cut allows is taken
+        report = max_lambda1_over_subspace(np.ones((1, 1)), 1, 2, MaximizeConfig(restarts=1))
+        assert report.best_lambda1_sq == pytest.approx(1.0, abs=1e-12)
+        assert (report.maximizer.local_dim, report.maximizer.n_factors) == (1, 3)
 
     def test_report_serialization(self):
-        basis = [singlet()]
-        report = max_lambda1_over_subspace(basis, 1, MaximizeConfig(restarts=2, seed=0))
+        report = max_lambda1_over_subspace(singlet_basis(), 2, 1, MaximizeConfig(restarts=2, seed=0))
         blob = report.to_json_dict()
         assert "objective_traces" not in blob
         blob = report.to_json_dict(include_trace=True)
@@ -233,14 +253,14 @@ class TestMaximization:
         e0 = TensorState.single([1, 0])
         with pytest.raises(RuntimeError, match="no restart produced a state"):
             max_lambda1_over_subspace(
-                [singlet()], 1, MaximizeConfig(restarts=0, max_iterations=1),
+                singlet_basis(), 2, 1, MaximizeConfig(restarts=0, max_iterations=1),
                 initial_pairs=[(e0, e0)],
             )
 
     def test_random_restarts_follow_orthogonal_start(self):
         e0 = TensorState.single([1, 0])
         report = max_lambda1_over_subspace(
-            [singlet()], 1, MaximizeConfig(restarts=2, max_iterations=1, seed=0),
+            singlet_basis(), 2, 1, MaximizeConfig(restarts=2, max_iterations=1, seed=0),
             initial_pairs=[(e0, e0)],
         )
         assert report.objective_traces[0] == (0.0,)
@@ -253,16 +273,16 @@ class TestMaximization:
     @pytest.mark.parametrize("rows, d, cut", [((2, 2), 2, 3), ((2, 1, 1), 3, 2)])
     def test_report_residual_equals_verify(self, rows, d, cut):
         basis = block_basis(YoungDiagram(rows), d)
-        report = max_lambda1_over_subspace(basis, cut, MaximizeConfig(restarts=4, seed=0))
+        report = max_lambda1_over_subspace(basis, d, cut, MaximizeConfig(restarts=4, seed=0))
         assert report.fixed_point_residual == verify_fixed_point(report.maximizer, basis, cut)
 
     def test_cut_covariance(self):
         # splitting off factor 1 instead of the last factor gives the same max
         dg = YoungDiagram((2, 1))
         basis = block_basis(dg, 2)
-        swapped = [swap_factors(b, 1, 3) for b in basis]
-        direct = max_lambda1_over_subspace(basis, 2, MaximizeConfig(restarts=12, seed=0))
-        moved = max_lambda1_over_subspace(swapped, 2, MaximizeConfig(restarts=12, seed=0))
+        swapped = permute_matrix_columns(Permutation.transposition(3, 1, 3), basis, 2, 3)
+        direct = max_lambda1_over_subspace(basis, 2, 2, MaximizeConfig(restarts=12, seed=0))
+        moved = max_lambda1_over_subspace(swapped, 2, 2, MaximizeConfig(restarts=12, seed=0))
         assert direct.best_lambda1_sq == pytest.approx(moved.best_lambda1_sq, abs=1e-6)
 
 
@@ -291,7 +311,7 @@ ASCENT_RECORD = [
 )
 def test_ascent_matches_record(rows, d, cut, seed, best_restart, best_value, iterations):
     basis = block_basis(YoungDiagram(rows), d)
-    report = max_lambda1_over_subspace(basis, cut, MaximizeConfig(seed=seed))
+    report = max_lambda1_over_subspace(basis, d, cut, MaximizeConfig(seed=seed))
     assert report.iterations == iterations
     assert report.converged == (True,) * 32
     assert report.best_restart == best_restart
@@ -300,7 +320,7 @@ def test_ascent_matches_record(rows, d, cut, seed, best_restart, best_value, ite
 
 class TestFixedPoint:
     def test_singlet_is_fixed(self):
-        assert verify_fixed_point(singlet(), [singlet()], 1) < 1e-10
+        assert verify_fixed_point(singlet(), singlet_basis(), 1) < 1e-10
 
     def test_optimizer_state_is_fixed(self):
         dg = YoungDiagram((2, 2))
@@ -314,12 +334,9 @@ class TestFixedPoint:
         dg = YoungDiagram((2, 1))
         basis = block_basis(dg, 2)
         rng = np.random.default_rng(9)
-        coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
+        coeffs = rng.standard_normal(basis.shape[1]) + 1j * rng.standard_normal(basis.shape[1])
         coeffs /= np.linalg.norm(coeffs)
-        psi = None
-        for c, b in zip(coeffs, basis):
-            term = c * b
-            psi = term if psi is None else psi + term
+        psi = TensorState(2, 3, basis @ coeffs)
         assert verify_fixed_point(psi, basis, 2) > 0.01
 
     def test_rejects_state_outside_span(self):
@@ -328,6 +345,12 @@ class TestFixedPoint:
         outside = TensorState.product_basis(2, [0, 0, 0, 0])
         with pytest.raises(ValueError, match="outside"):
             verify_fixed_point(outside, basis, 3)
+
+    def test_rejects_state_on_another_space(self):
+        basis = block_basis(YoungDiagram((2, 2)), 2)
+        other = TensorState.product_basis(3, [0, 0, 0, 0])
+        with pytest.raises(ValueError, match="d=3, n=4"):
+            verify_fixed_point(other, basis, 3)
 
 
 class TestEntropyBound:
@@ -339,10 +362,7 @@ class TestEntropyBound:
         bound = entropy_lower_bound(dg)
         rng = np.random.default_rng(hash(nu) % 2**32)
         for _ in range(25):
-            coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
+            coeffs = rng.standard_normal(basis.shape[1]) + 1j * rng.standard_normal(basis.shape[1])
             coeffs /= np.linalg.norm(coeffs)
-            psi = None
-            for c, b in zip(coeffs, basis):
-                term = c * b
-                psi = term if psi is None else psi + term
+            psi = TensorState(d, dg.n_boxes, basis @ coeffs)
             assert entanglement_entropy(psi, dg.n_boxes - 1) >= bound - 1e-7

@@ -12,7 +12,6 @@ from schurweyl.tensor_space import (
     DimensionCapError,
     OperatorExpr,
     TensorState,
-    aligned_sector_bases,
     antisymmetrizer,
     apply_local_unitary,
     apply_permutation,
@@ -529,28 +528,50 @@ def scan_basis(t, d):
     return np.column_stack(kept) if kept else np.zeros((d**t.n, 0), dtype=complex)
 
 
+def columns(mat, d, n):
+    return [TensorState(d, n, col) for col in mat.T]
+
+
 class TestSubspaceBasis:
     def test_dimensions(self):
         t = StandardTableau(((1,), (2,)))
-        assert len(subspace_basis(t, 2)) == 1
+        assert subspace_basis(t, 2).shape == (4, 1)
         dg = YoungDiagram((2, 1))
         for t in enumerate_standard_tableaux(dg):
-            assert len(subspace_basis(t, 2)) == 2
-            assert len(subspace_basis(t, 3)) == 8
+            assert subspace_basis(t, 2).shape == (8, 2)
+            assert subspace_basis(t, 3).shape == (27, 8)
 
     def test_empty_when_d_too_small(self):
         t = column_ordered_tableau(YoungDiagram((1, 1, 1)))
-        assert subspace_basis(t, 2) == []
+        assert subspace_basis(t, 2).shape == (8, 0)
+        assert block_basis(YoungDiagram((1, 1, 1)), 2).shape == (8, 0)
 
     def test_orthonormal_and_invariant(self):
         t = enumerate_standard_tableaux(YoungDiagram((2, 2)))[1]
-        basis = subspace_basis(t, 2)
+        basis = columns(subspace_basis(t, 2), 2, 4)
         proj = orthogonal_projector(t, 2)
         for i, b in enumerate(basis):
             assert (proj(b) - b).norm() < 1e-10
             for j, c in enumerate(basis):
                 expected = 1.0 if i == j else 0.0
                 assert abs(b.inner(c) - expected) < 1e-10
+
+    @pytest.mark.parametrize("build", [
+        lambda: subspace_basis(column_ordered_tableau(YoungDiagram((3, 2))), 3),
+        lambda: block_basis(YoungDiagram((3, 2)), 3),
+    ], ids=["subspace_basis", "block_basis"])
+    def test_cap_is_checked_before_the_seed(self, build, monkeypatch):
+        # 3**5 = 243 passes a cap of 100 only if the check is skipped; the
+        # seed's first step must then never run
+        import schurweyl.tensor_space as ts
+
+        def unreachable(*args):
+            raise AssertionError("seed computed before the cap check")
+
+        monkeypatch.setenv("SCHURWEYL_CAP", "100")
+        monkeypatch.setattr(ts, "enumerate_semistandard_tableaux", unreachable)
+        with pytest.raises(DimensionCapError, match="243"):
+            build()
 
     @pytest.mark.parametrize(
         "rows, d",
@@ -561,13 +582,11 @@ class TestSubspaceBasis:
         # the per-tableau extraction stays the oracle for the block's span
         dg = YoungDiagram(rows)
         tableaux = enumerate_standard_tableaux(dg)
-        basis = block_basis(dg, d)
-        assert len(basis) == len(tableaux) * dim_unitary_group_irrep(dg, d)
+        mat = block_basis(dg, d)
+        assert mat.shape == (d**dg.n_boxes, len(tableaux) * dim_unitary_group_irrep(dg, d))
         if d < dg.n_rows:
-            assert basis == []
             return
-        mat = np.column_stack([b.amplitudes for b in basis])
-        np.testing.assert_allclose(mat.conj().T @ mat, np.eye(len(basis)), atol=1e-10)
+        np.testing.assert_allclose(mat.conj().T @ mat, np.eye(mat.shape[1]), atol=1e-10)
         reference = sum(
             (lambda q: q @ q.conj().T)(scan_basis(t, d)) for t in tableaux
         )
@@ -593,11 +612,10 @@ class TestSubspaceBasis:
             if d**n > 4**6:
                 tableaux = tableaux[:1]
             for t in tableaux:
-                basis = subspace_basis(t, d)
-                assert len(basis) == expected
-                if not basis:
+                q = subspace_basis(t, d)
+                assert q.shape[1] == expected
+                if not expected:
                     continue
-                q = np.column_stack([b.amplitudes for b in basis])
                 np.testing.assert_allclose(q.conj().T @ q, np.eye(expected), atol=1e-10)
                 if d**n <= 256:
                     overlap = np.linalg.norm(scan_basis(t, d).conj().T @ q) ** 2
@@ -607,17 +625,17 @@ class TestSubspaceBasis:
 class TestAlignedBases:
     def test_alignment_reproduces_mixing_matrix(self):
         dg = YoungDiagram((2, 1))
-        bases = aligned_sector_bases(dg, 2)
-        tableaux = enumerate_standard_tableaux(dg)
+        block = block_basis(dg, 2)
+        sectors = np.split(block, len(enumerate_standard_tableaux(dg)), axis=1)
         sigma = Permutation.transposition(3, 2, 3)
         from schurweyl.orthogonal_form import permutation_matrix
 
         m = permutation_matrix(dg, sigma).entries
-        for ti, t in enumerate(tableaux):
-            for a, vec in enumerate(bases[t]):
+        for ti, v_t in enumerate(sectors):
+            for a, vec in enumerate(columns(v_t, 2, 3)):
                 image = apply_permutation(sigma, vec)
-                for si, s in enumerate(tableaux):
-                    for b, w in enumerate(bases[s]):
+                for si, v_s in enumerate(sectors):
+                    for b, w in enumerate(columns(v_s, 2, 3)):
                         expected = m[si, ti] if a == b else 0.0
                         assert abs(w.inner(image) - expected) < 1e-12
 
@@ -629,10 +647,8 @@ class TestAlignedBases:
         # axial distance r; for |r| = 1 there is no s and sigma_k v_t = r v_t
         dg = YoungDiagram(rows)
         n = dg.n_boxes
-        mats = {
-            t: np.column_stack([b.amplitudes for b in basis])
-            for t, basis in aligned_sector_bases(dg, d).items()
-        }
+        tableaux = enumerate_standard_tableaux(dg)
+        mats = dict(zip(tableaux, np.split(block_basis(dg, d), len(tableaux), axis=1)))
         for t, v_t in mats.items():
             for k in range(1, n):
                 r = axial_distance(t, k)
