@@ -23,7 +23,7 @@ from .spectral import (
     schmidt_decompose,
 )
 from .tensor_space import _check_within_cap, block_basis
-from .verification import CheckResult, run_verification
+from .verification import CROSS_CHECK_COLUMNS, CheckResult, run_verification
 from .young import (
     YoungDiagram,
     bound_for_box,
@@ -66,8 +66,11 @@ def _check_cap(diagram: YoungDiagram, d: int, samples: int | None = None) -> Non
 
     The estimate is exact integer arithmetic, made before anything is
     allocated: the complex block matrix, and for ``verify`` (``samples``
-    given) also its permuted and conjugated copies and every tableau's
-    projection of the samples.
+    given) also its larger work space, six sectors (the singular vectors and
+    projector stages of the Schmidt confinement check) or
+    ``CROSS_CHECK_COLUMNS`` columns (the permuted sectors of the
+    orthogonal-form cross-check), and every tableau's projection of the
+    samples.
     """
     n = diagram.n_boxes
     try:
@@ -76,9 +79,10 @@ def _check_cap(diagram: YoungDiagram, d: int, samples: int | None = None) -> Non
         raise click.UsageError(str(exc)) from exc
     vector = 16 * d**n
     f = dim_symmetric_group_irrep(diagram)
-    need = vector * f * dim_unitary_group_irrep(diagram, d)
+    dim_v = dim_unitary_group_irrep(diagram, d)
+    need = vector * f * dim_v
     if samples is not None:
-        need = 3 * need + vector * f * samples
+        need += vector * (max(6 * dim_v, CROSS_CHECK_COLUMNS) + f * samples)
     memory = _physical_memory()
     if need > memory:
         raise click.UsageError(
@@ -269,7 +273,6 @@ def maximize(ctx: click.Context, partition: str, d: int | None, cut: int | None,
         )
         raise click.UsageError("no block to maximize over at this d")
     _check_cap(diagram, d)
-    basis = block_basis(diagram, d)
     exact, witness = max_schmidt_bound(diagram)
 
     pairs = []
@@ -277,8 +280,9 @@ def maximize(ctx: click.Context, partition: str, d: int | None, cut: int | None,
         seed_state = optimizer_state(diagram, witness, d=d)
         sr = schmidt_decompose(seed_state, cut)
         pairs.append((sr.left_vectors[0], sr.right_vectors[0]))
+    # Passed inline: the ascent copies its weight blocks and frees the block.
     report = max_lambda1_over_subspace(
-        basis,
+        block_basis(diagram, d),
         d,
         cut,
         config,

@@ -7,11 +7,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .tensor_space import TensorState
+from .tensor_space import TensorState, _weight_cells, _weight_keys
 
 # Tolerance for declaring a supplied basis orthonormal.
 BASIS_TOL = 1e-8
@@ -102,7 +102,8 @@ class MaximizationReport:
     ``best_restart`` indexes the restart whose final objective is
     ``best_lambda1_sq`` in ``iterations`` and ``converged``.
     ``fixed_point_residual`` is :func:`verify_fixed_point` of the maximizer
-    at the cut, computed on the basis matrix the ascent validated.
+    at the cut, computed with the weight blocks the ascent projected with,
+    so the basis must consist of weight vectors as for the ascent.
     """
 
     best_lambda1_sq: float
@@ -133,17 +134,63 @@ class MaximizationReport:
         return out
 
 
-def _check_orthonormal(mat: np.ndarray) -> None:
-    # The Gram matrix on and above the diagonal, for 32 MiB of columns at a
-    # time: only those columns are conjugated, never the whole matrix.
+def _weight_projector(mat: np.ndarray, d: int, n: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Orthogonal projector onto the span of the columns of ``mat``, applied
+    one weight space at a time.
+
+    Every column must be a weight vector: zero off the rows of one digit
+    multiset, which its first nonzero entry names.  The nonzero block of
+    each weight is copied out of ``mat``, and blocks of one shape are
+    stacked, so the projector keeps no reference to ``mat``.  Columns of
+    different weights are exactly orthogonal, so orthonormality is checked
+    block by block.  The returned map takes a ``(d**n,)`` vector or a
+    ``(d**n, batch)`` matrix: one gather, two stacked products per shape
+    and one scatter.
+    """
     rows, cols = mat.shape
     if cols == 0:
         raise ValueError("empty basis")
-    step = max(1, (1 << 25) // (rows * mat.itemsize))
-    for j in range(0, cols, step):
-        gram = mat[:, j : j + step].conj().T @ mat[:, j:]
-        if np.abs(gram - np.eye(*gram.shape)).max() > BASIS_TOL:
+    keys = _weight_keys(d, n)
+    col_keys = np.empty(cols, dtype=np.int64)
+    for j in range(cols):
+        first = int(np.argmax(mat[:, j] != 0))
+        if mat[first, j] == 0:
             raise ValueError("basis is not orthonormal")
+        col_keys[j] = keys[first]
+    by_shape: dict[tuple[int, int], list[tuple[np.ndarray, np.ndarray]]] = {}
+    for r, c in _weight_cells(keys, col_keys):
+        by_shape.setdefault((r.size, c.size), []).append((r, c))
+    # One stack of blocks per shape, filled a block at a time; part slices
+    # the stack's rows out of gather.
+    stacks = []
+    stop = 0
+    for (height, width), cells in by_shape.items():
+        blocks = np.empty((len(cells), height, width), dtype=np.complex128)
+        for block, (r, c) in zip(blocks, cells):
+            block[...] = mat[np.ix_(r, c)]
+        start, stop = stop, stop + len(cells) * height
+        stacks.append((slice(start, stop), blocks))
+    if sum(np.count_nonzero(blocks) for _, blocks in stacks) != np.count_nonzero(mat):
+        raise ValueError("basis columns are not weight vectors")
+    for _, blocks in stacks:
+        for block in blocks:
+            if np.abs(block.conj().T @ block - np.eye(block.shape[1])).max() > BASIS_TOL:
+                raise ValueError("basis is not orthonormal")
+    gather = np.concatenate([r for cells in by_shape.values() for r, _ in cells])
+
+    def project(vec: np.ndarray) -> np.ndarray:
+        gathered = vec[gather]
+        result = np.empty_like(gathered, dtype=np.complex128)
+        for part, blocks in stacks:
+            shape = blocks.shape[:2] + (-1,)
+            # blocks^H g as (g^H blocks)^H: no conjugate copy of the blocks
+            coeffs = (gathered[part].reshape(shape).conj().transpose(0, 2, 1) @ blocks).conj()
+            np.matmul(blocks, coeffs.transpose(0, 2, 1), out=result[part].reshape(shape))
+        out = np.zeros(vec.shape, dtype=np.complex128)
+        out[gather] = result
+        return out
+
+    return project
 
 
 def _factor_count(rows: int, d: int, k: int) -> int:
@@ -178,13 +225,17 @@ def max_lambda1_over_subspace(
     a start orthogonal to the subspace does not.  ``initial_pairs``
     prepends deterministic restarts (e.g. a pair taken from a known
     saturating state) to the random ones.  ``basis`` is the ``d^N x dim``
-    matrix of an orthonormal basis (N is read off its rows), which each
-    projection reads in place, as ``mat (prod^H mat)^H``: no conjugate copy.
+    matrix of an orthonormal basis of weight vectors, each zero off the rows
+    of one digit multiset (N is read off its rows), as :func:`block_basis`
+    returns it.  Its nonzero blocks are copied once, one per weight, and
+    every projection applies them; the function then holds no reference to
+    the dense matrix.
     """
     config = config or MaximizeConfig()
     mat = np.asarray(basis)
-    _check_orthonormal(mat)
     n = _factor_count(mat.shape[0], d, k)
+    project = _weight_projector(mat, d, n)
+    del basis, mat
     if not 1 <= k <= n - 1:
         raise ValueError(f"cut must be in 1..{n - 1}")
     dim_a, dim_b = d**k, d ** (n - k)
@@ -220,7 +271,7 @@ def max_lambda1_over_subspace(
         it = 0
         for it in range(1, config.max_iterations + 1):
             prod = np.multiply.outer(alpha, beta).reshape(-1)
-            proj = mat @ (prod.conj() @ mat).conj()
+            proj = project(prod)
             obj = float(np.real(np.vdot(proj, proj)))
             if prev is not None and obj < prev - 1e-12:
                 raise RuntimeError(
@@ -258,7 +309,7 @@ def max_lambda1_over_subspace(
         converged=tuple(converged),
         best_restart=best_restart,
         maximizer=maximizer,
-        fixed_point_residual=_fixed_point_residual(maximizer, mat, k),
+        fixed_point_residual=_fixed_point_residual(maximizer, project, k),
         cut=k,
         analytic_bound=analytic_bound,
         seed=config.seed,
@@ -271,31 +322,34 @@ def verify_fixed_point(psi: TensorState, basis: np.ndarray, k: int) -> float:
 
     A maximizer equals the normalized subspace projection of its own top
     Schmidt pair; the returned norm distance is near zero exactly for such
-    states.  ``basis`` holds an orthonormal basis in its columns.  Raises
-    when it is not orthonormal, has another row count than psi has
-    amplitudes, or psi is not (numerically) inside its span.
+    states.  ``basis`` holds an orthonormal basis of weight vectors in its
+    columns, as :func:`block_basis` returns it.  Raises when it has another
+    row count than psi has amplitudes, is not orthonormal, has a column that
+    mixes weights, or psi is not (numerically) inside its span.
     """
     mat = np.asarray(basis)
-    _check_orthonormal(mat)
     if mat.shape[0] != psi.amplitudes.shape[0]:
         raise ValueError(
             f"basis has {mat.shape[0]} rows, but the state lives on "
             f"d={psi.local_dim}, n={psi.n_factors}"
         )
-    return _fixed_point_residual(psi, mat, k)
+    project = _weight_projector(mat, psi.local_dim, psi.n_factors)
+    return _fixed_point_residual(psi, project, k)
 
 
-def _fixed_point_residual(psi: TensorState, mat: np.ndarray, k: int) -> float:
-    # mat holds an orthonormal basis in its columns, already validated.
+def _fixed_point_residual(
+    psi: TensorState, project: Callable[[np.ndarray], np.ndarray], k: int
+) -> float:
+    # project is a validated _weight_projector on psi's space.
     vec = psi.amplitudes
-    inside = mat @ (vec.conj() @ mat).conj()
+    inside = project(vec)
     if np.linalg.norm(inside - vec) > 1e-6:
         raise ValueError("state lies outside the span of the basis")
     sr = schmidt_decompose(psi, k)
     pair = np.multiply.outer(
         sr.left_vectors[0].amplitudes, sr.right_vectors[0].amplitudes
     ).reshape(-1)
-    proj = mat @ (pair.conj() @ mat).conj()
+    proj = project(pair)
     nrm = np.linalg.norm(proj)
     if nrm == 0:
         return float(np.linalg.norm(vec))

@@ -442,28 +442,75 @@ def closed_form_projector(t: StandardTableau, d: int) -> OperatorExpr:
     return _compose(d, t.n, factors, _normalization(t.diagram))
 
 
+def _weight_keys(d: int, n: int) -> np.ndarray:
+    """Weight of every flat index of (C^d)^(tensor n) as an integer: the
+    least flat index with the same multiset of digits.
+
+    A permutation of factors maps every index to one of the same weight, so
+    each sector is spanned by vectors supported on one weight each.
+    """
+    digits = np.empty((d**n, n), dtype=np.min_scalar_type(d - 1))
+    flat = np.arange(d**n)
+    for k in range(n - 1, -1, -1):
+        flat, digits[:, k] = np.divmod(flat, d)
+    digits.sort(axis=1)
+    keys = np.zeros(d**n, dtype=np.int64)
+    for k in range(n):
+        keys *= d
+        keys += digits[:, k]
+    return keys
+
+
+def _weight_cells(
+    keys: np.ndarray, column_keys: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """For every weight the columns carry, in increasing order, the pair of
+    ascending row indices and ascending column indices of that weight."""
+    weights = sorted(set(column_keys.tolist()))
+    members = []
+    for k in (keys, column_keys):
+        order = np.argsort(k, kind="stable")
+        lo = np.searchsorted(k[order], weights)
+        hi = np.searchsorted(k[order], weights, side="right")
+        members.append([order[a:b] for a, b in zip(lo, hi)])
+    return list(zip(*members))
+
+
 def subspace_basis(t: StandardTableau, d: int) -> np.ndarray:
-    """Orthonormal basis of the tableau's sector, as a ``(d**N, dim V)`` matrix.
+    """Orthonormal basis of the tableau's sector, as a ``(d**N, dim V)`` matrix
+    of weight vectors.
 
     The candidates are the dim V product states indexed by the semistandard
     fillings T of the shape with 0..d-1, with digit T(box) on factor t(box);
-    all of them are projected in one batch and orthonormalized by one QR
-    factorization.  Raises ``ArithmeticError`` when their images fall short
-    of full rank.  No column when d is smaller than the number of rows.
+    all of them are projected in one batch.  A permutation of factors keeps
+    the weight (the digit multiset) of every index, so each image is exactly
+    zero off the weight of its filling; the images of one weight are
+    orthonormalized by one QR on that weight's rows, written back in place,
+    and every column stays exactly zero off its weight.  Raises
+    ``ArithmeticError`` when the images fall short of full rank.  No column
+    when d is smaller than the number of rows.
     """
     n = t.n
     _check_within_cap(d**n)
     if d < t.diagram.n_rows:
         return np.zeros((d**n, 0), dtype=np.complex128)
     fillings = enumerate_semistandard_tableaux(t.diagram, d)
-    weights = np.array([d ** (n - v) for row in t.rows for v in row])
+    place = np.array([d ** (n - v) for row in t.rows for v in row])
     digits = np.array([[x for row in f for x in row] for f in fillings])
-    candidates = np.zeros((d**n, len(fillings)), dtype=np.complex128)
-    candidates[digits @ weights, np.arange(len(fillings))] = 1.0
-    q, r = np.linalg.qr(orthogonal_projector(t, d)._apply_raw(candidates))
+    flat = digits @ place
+    images = np.zeros((d**n, len(fillings)), dtype=np.complex128)
+    images[flat, np.arange(len(fillings))] = 1.0
+    images = orthogonal_projector(t, d)._apply_raw(images)
+    keys = _weight_keys(d, n)
+    diags = []
+    for rows, cols in _weight_cells(keys, keys[flat]):
+        cell = np.ix_(rows, cols)
+        q, r = np.linalg.qr(images[cell])
+        images[cell] = q
+        diags.append(np.diagonal(r))
     # A dependent candidate leaves a diagonal entry of R at rounding level;
     # genuine entries stay far above this (>= 0.016 for N <= 7, d <= 4).
-    diag = np.abs(np.diagonal(r))
+    diag = np.abs(np.concatenate(diags))
     rank = int((diag > math.sqrt(np.finfo(float).eps) * diag.max()).sum())
     expected = dim_unitary_group_irrep(t.diagram, d)
     if rank != expected:
@@ -471,7 +518,7 @@ def subspace_basis(t: StandardTableau, d: int) -> np.ndarray:
             f"found {rank} independent directions, expected {expected} "
             f"for tableau {t} at d={d}"
         )
-    return q
+    return images
 
 
 def block_basis(diagram: YoungDiagram, d: int) -> np.ndarray:
@@ -501,6 +548,7 @@ def block_basis(diagram: YoungDiagram, d: int) -> np.ndarray:
     # sectors[..., i, :] is the (d,)*n view of the columns of tableau i.
     sectors = np.empty((d,) * n + (len(tableaux), seed.shape[1]), dtype=np.complex128)
     sectors[..., 0, :] = seed.reshape(sectors.shape[:n] + seed.shape[1:])
+    del seed
     index = {t: i for i, t in enumerate(tableaux)}
     reached = {first}
     frontier = [first]

@@ -14,7 +14,7 @@ import numpy as np
 
 from .orthogonal_form import Permutation, permutation_matrix
 from .special_states import coherent_state, optimizer_state
-from .spectral import _check_orthonormal, _fixed_point_residual, schmidt_decompose
+from .spectral import _fixed_point_residual, _weight_projector, schmidt_decompose
 from .tensor_space import (
     apply_local_unitary,
     block_basis,
@@ -35,6 +35,10 @@ from .young import (
     tableau_with_largest_in,
 )
 
+# Columns permuted at a time by the orthogonal-form cross-check: few enough
+# to bound its copy, enough for the overlap product to run near full speed.
+CROSS_CHECK_COLUMNS = 256
+
 
 @dataclass
 class CheckResult:
@@ -52,7 +56,9 @@ def _haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _column_norms(mat: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(mat, axis=0)
+    # Read through the real and imaginary views: no temporary of mat's size.
+    re, im = mat.real, mat.imag
+    return np.sqrt(np.einsum("ij,ij->j", re, re) + np.einsum("ij,ij->j", im, im))
 
 
 def run_verification(
@@ -115,10 +121,11 @@ def run_verification(
         return results
 
     # The aligned sector bases, tableau-major: column ti*dim + a holds vector
-    # a of sector ti.  Its orthonormality is validated here, once.
+    # a of sector ti.  Its weight structure and orthonormality are validated
+    # here, once, by building its weight projector.
     expected_dim = dim_unitary_group_irrep(diagram, d)
     block_mat = block_basis(diagram, d)
-    _check_orthonormal(block_mat)
+    project = _weight_projector(block_mat, d, n)
     worst_dim = abs(block_mat.shape[1] / len(tableaux) - expected_dim)
     record("sector dimensions", worst_dim, 0.5, f"dim {expected_dim} per sector")
 
@@ -135,18 +142,28 @@ def run_verification(
     record("block resolution on sectors", worst_block, 1e-9)
 
     # Permutation action on the aligned bases is the orthogonal-form matrix
-    # tensored with the identity on the unitary index.
+    # tensored with the identity on the unitary index.  The block is permuted
+    # a chunk of whole sectors at a time, at most CROSS_CHECK_COLUMNS columns
+    # and at least one sector: the conjugated overlaps (sigma B_c)^H B of the
+    # chunk's sectors c must equal their rows of the real kron(m, 1)^T.
     sigmas = [Permutation.transposition(n, k, k + 1) for k in range(1, n)]
     if n >= 2:
         sigmas.append(Permutation.random(n, rng))
     worst_cross = 0.0
     eye = np.eye(expected_dim)
+    chunk = max(1, CROSS_CHECK_COLUMNS // expected_dim)
     for sigma in sigmas:
         m = permutation_matrix(diagram, sigma).entries
-        moved = permute_matrix_columns(sigma, block_mat, d, n)
-        overlaps = block_mat.conj().T @ moved
-        worst_cross = max(worst_cross, np.abs(overlaps - np.kron(m, eye)).max())
-        worst_cross = max(worst_cross, np.abs(_column_norms(moved) - 1.0).max())
+        for first in range(0, len(tableaux), chunk):
+            part = block_mat[:, first * expected_dim : (first + chunk) * expected_dim]
+            moved = permute_matrix_columns(sigma, part, d, n)
+            if moved is part:  # the identity returns its input: conjugate a copy
+                moved = part.copy()
+            worst_cross = max(worst_cross, np.abs(_column_norms(moved) - 1.0).max())
+            overlaps = np.conjugate(moved, out=moved).T @ block_mat
+            del moved  # freed before the next chunk is permuted
+            expected = np.kron(m[:, first : first + chunk].T, eye)
+            worst_cross = max(worst_cross, np.abs(overlaps - expected).max())
     record("orthogonal-form cross-check", worst_cross, 1e-9, f"{len(sigmas)} permutations")
 
     # Schmidt data across the cut after factor N-1, from one batched SVD per
@@ -198,7 +215,7 @@ def run_verification(
             worst_sat = max(worst_sat, abs(lam1**2 - float(bound_for_box(diagram, box))))
             t_box = tableau_with_largest_in(diagram, box)
             worst_mem = max(worst_mem, (projectors[t_box](state) - state).norm())
-            worst_fix = max(worst_fix, _fixed_point_residual(state, block_mat, n - 1))
+            worst_fix = max(worst_fix, _fixed_point_residual(state, project, n - 1))
     record("saturation of the exact bound", worst_sat, 1e-8)
     record("saturating-state membership", worst_mem, 1e-8)
     record("saturating-state fixed point", worst_fix, 1e-7)

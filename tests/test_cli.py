@@ -209,8 +209,9 @@ class TestMemoryEstimate:
     # f * dim V = 2 * 2 columns of 8 amplitudes
     @pytest.mark.parametrize("args, need", [
         (["maximize", "--partition", "2,1", "--d", "2"], 16 * 8 * 4),
-        # verify: the block three times plus 2 tableaux x 5 sample projections
-        (["verify", "--partition", "2,1", "--d", "2"], 3 * 16 * 8 * 4 + 16 * 8 * 2 * 5),
+        # verify: the block, its larger work space (256 columns, more than
+        # six sectors of 2 columns) and 2 tableaux x 5 sample projections
+        (["verify", "--partition", "2,1", "--d", "2"], 16 * 8 * (4 + 256 + 2 * 5)),
         # below the cap (4**9 <= 2**20), but its block alone is 14.1 GB
         (["maximize", "--partition", "3,3,2,1", "--d", "4"], 16 * 4**9 * 3360),
     ], ids=["maximize", "verify", "maximize-3321-d4"])
@@ -226,7 +227,7 @@ class TestMemoryEstimate:
     def test_run_within_physical_memory_goes_ahead(self, runner, monkeypatch):
         import schurweyl.cli as cli
 
-        monkeypatch.setattr(cli, "_physical_memory", lambda: 3 * 16 * 8 * 4 + 16 * 8 * 2 * 5)
+        monkeypatch.setattr(cli, "_physical_memory", lambda: 16 * 8 * (4 + 256 + 2 * 5))
         result = runner.invoke(main, ["verify", "--partition", "2,1", "--d", "2"])
         assert result.exit_code == 0, result.output
 

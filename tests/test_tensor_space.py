@@ -622,6 +622,31 @@ class TestSubspaceBasis:
                     assert overlap == pytest.approx(expected, abs=1e-10)
 
 
+def weight_labels(d, n):
+    # the digit multiset of every flat index, numbered in order of appearance
+    labels = {}
+    return np.array([
+        labels.setdefault(tuple(sorted(idx)), len(labels))
+        for idx in itertools.product(range(d), repeat=n)
+    ])
+
+
+def assert_weight_vectors(mat, labels):
+    own = labels[np.argmax(np.abs(mat), axis=0)]
+    assert (mat[labels[:, None] != own] == 0.0).all()
+
+
+@pytest.mark.parametrize("n, d", [(n, d) for d in range(1, 5) for n in range(1, 7)])
+def test_bases_are_exact_weight_vectors(n, d):
+    # a permutation of factors keeps every digit multiset, so each column of
+    # the seed and of the transported block is exactly zero off its weight
+    labels = weight_labels(d, n)
+    for nu in partitions_of(n):
+        for t in enumerate_standard_tableaux(nu):
+            assert_weight_vectors(subspace_basis(t, d), labels)
+        assert_weight_vectors(block_basis(nu, d), labels)
+
+
 class TestAlignedBases:
     def test_alignment_reproduces_mixing_matrix(self):
         dg = YoungDiagram((2, 1))
