@@ -23,7 +23,7 @@ from .spectral import (
     schmidt_decompose,
 )
 from .tensor_space import _check_within_cap, block_basis
-from .verification import CROSS_CHECK_COLUMNS, CheckResult, run_verification
+from .verification import CheckResult, run_verification
 from .young import (
     YoungDiagram,
     bound_for_box,
@@ -66,11 +66,9 @@ def _check_cap(diagram: YoungDiagram, d: int, samples: int | None = None) -> Non
 
     The estimate is exact integer arithmetic, made before anything is
     allocated: the complex block matrix, and for ``verify`` (``samples``
-    given) also its larger work space, six sectors (the singular vectors and
-    projector stages of the Schmidt confinement check) or
-    ``CROSS_CHECK_COLUMNS`` columns (the permuted sectors of the
-    orthogonal-form cross-check), and every tableau's projection of the
-    samples.
+    given) also its work space, six sectors (the singular vectors and
+    projector stages of the Schmidt confinement check), and every tableau's
+    projection of the samples.
     """
     n = diagram.n_boxes
     try:
@@ -82,7 +80,7 @@ def _check_cap(diagram: YoungDiagram, d: int, samples: int | None = None) -> Non
     dim_v = dim_unitary_group_irrep(diagram, d)
     need = vector * f * dim_v
     if samples is not None:
-        need += vector * (max(6 * dim_v, CROSS_CHECK_COLUMNS) + f * samples)
+        need += vector * (6 * dim_v + f * samples)
     memory = _physical_memory()
     if need > memory:
         raise click.UsageError(

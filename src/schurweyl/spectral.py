@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -134,7 +134,32 @@ class MaximizationReport:
         return out
 
 
-def _weight_projector(mat: np.ndarray, d: int, n: int) -> Callable[[np.ndarray], np.ndarray]:
+@dataclass(frozen=True)
+class _WeightBlocks:
+    """A basis matrix's nonzero weight blocks, stacked by shape: ``gather``
+    lists the rows weight by weight, and each of ``stacks`` is ``(part,
+    blocks, cols)``, the stack's slice of ``gather``, its ``(count, h, w)``
+    blocks and their ``(count, w)`` column indices.  Calling it projects a
+    ``(d**n,)`` vector or ``(d**n, batch)`` matrix onto the span: one
+    gather, two stacked products per shape and one scatter."""
+
+    gather: np.ndarray
+    stacks: list[tuple[slice, np.ndarray, np.ndarray]]
+
+    def __call__(self, vec: np.ndarray) -> np.ndarray:
+        gathered = vec[self.gather]
+        result = np.empty_like(gathered, dtype=np.complex128)
+        for part, blocks, _ in self.stacks:
+            shape = blocks.shape[:2] + (-1,)
+            # blocks^H g as (g^H blocks)^H: no conjugate copy of the blocks
+            coeffs = (gathered[part].reshape(shape).conj().transpose(0, 2, 1) @ blocks).conj()
+            np.matmul(blocks, coeffs.transpose(0, 2, 1), out=result[part].reshape(shape))
+        out = np.zeros(vec.shape, dtype=np.complex128)
+        out[self.gather] = result
+        return out
+
+
+def _weight_projector(mat: np.ndarray, d: int, n: int) -> _WeightBlocks:
     """Orthogonal projector onto the span of the columns of ``mat``, applied
     one weight space at a time.
 
@@ -143,9 +168,7 @@ def _weight_projector(mat: np.ndarray, d: int, n: int) -> Callable[[np.ndarray],
     each weight is copied out of ``mat``, and blocks of one shape are
     stacked, so the projector keeps no reference to ``mat``.  Columns of
     different weights are exactly orthogonal, so orthonormality is checked
-    block by block.  The returned map takes a ``(d**n,)`` vector or a
-    ``(d**n, batch)`` matrix: one gather, two stacked products per shape
-    and one scatter.
+    block by block.
     """
     rows, cols = mat.shape
     if cols == 0:
@@ -169,28 +192,15 @@ def _weight_projector(mat: np.ndarray, d: int, n: int) -> Callable[[np.ndarray],
         for block, (r, c) in zip(blocks, cells):
             block[...] = mat[np.ix_(r, c)]
         start, stop = stop, stop + len(cells) * height
-        stacks.append((slice(start, stop), blocks))
-    if sum(np.count_nonzero(blocks) for _, blocks in stacks) != np.count_nonzero(mat):
+        stacks.append((slice(start, stop), blocks, np.stack([c for _, c in cells])))
+    if sum(np.count_nonzero(blocks) for _, blocks, _ in stacks) != np.count_nonzero(mat):
         raise ValueError("basis columns are not weight vectors")
-    for _, blocks in stacks:
+    for _, blocks, _ in stacks:
         for block in blocks:
             if np.abs(block.conj().T @ block - np.eye(block.shape[1])).max() > BASIS_TOL:
                 raise ValueError("basis is not orthonormal")
     gather = np.concatenate([r for cells in by_shape.values() for r, _ in cells])
-
-    def project(vec: np.ndarray) -> np.ndarray:
-        gathered = vec[gather]
-        result = np.empty_like(gathered, dtype=np.complex128)
-        for part, blocks in stacks:
-            shape = blocks.shape[:2] + (-1,)
-            # blocks^H g as (g^H blocks)^H: no conjugate copy of the blocks
-            coeffs = (gathered[part].reshape(shape).conj().transpose(0, 2, 1) @ blocks).conj()
-            np.matmul(blocks, coeffs.transpose(0, 2, 1), out=result[part].reshape(shape))
-        out = np.zeros(vec.shape, dtype=np.complex128)
-        out[gather] = result
-        return out
-
-    return project
+    return _WeightBlocks(gather, stacks)
 
 
 def _factor_count(rows: int, d: int, k: int) -> int:
@@ -337,10 +347,7 @@ def verify_fixed_point(psi: TensorState, basis: np.ndarray, k: int) -> float:
     return _fixed_point_residual(psi, project, k)
 
 
-def _fixed_point_residual(
-    psi: TensorState, project: Callable[[np.ndarray], np.ndarray], k: int
-) -> float:
-    # project is a validated _weight_projector on psi's space.
+def _fixed_point_residual(psi: TensorState, project: _WeightBlocks, k: int) -> float:
     vec = psi.amplitudes
     inside = project(vec)
     if np.linalg.norm(inside - vec) > 1e-6:

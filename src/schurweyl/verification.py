@@ -35,11 +35,6 @@ from .young import (
     tableau_with_largest_in,
 )
 
-# Columns permuted at a time by the orthogonal-form cross-check: few enough
-# to bound its copy, enough for the overlap product to run near full speed.
-CROSS_CHECK_COLUMNS = 256
-
-
 @dataclass
 class CheckResult:
     name: str
@@ -142,27 +137,28 @@ def run_verification(
     record("block resolution on sectors", worst_block, 1e-9)
 
     # Permutation action on the aligned bases is the orthogonal-form matrix
-    # tensored with the identity on the unitary index.  The block is permuted
-    # a chunk of whole sectors at a time, at most CROSS_CHECK_COLUMNS columns
-    # and at least one sector: the conjugated overlaps (sigma B_c)^H B of the
-    # chunk's sectors c must equal their rows of the real kron(m, 1)^T.
+    # tensored with the identity on the unitary index.  Permutations keep
+    # weights, and the block is exactly zero off its weight blocks, so the
+    # real kron(m, 1)^T is compared with (sigma B)^H B one weight block at a
+    # time.  The N-cycle is no involution: an action by sigma^-1 shows.
     sigmas = [Permutation.transposition(n, k, k + 1) for k in range(1, n)]
     if n >= 2:
         sigmas.append(Permutation.random(n, rng))
+    if n >= 3:
+        sigmas.append(Permutation(tuple(range(2, n + 1)) + (1,)))
+    where = np.empty(d**n, dtype=np.int64)  # each row's position in gather
+    where[project.gather] = np.arange(project.gather.size)
     worst_cross = 0.0
-    eye = np.eye(expected_dim)
-    chunk = max(1, CROSS_CHECK_COLUMNS // expected_dim)
     for sigma in sigmas:
         m = permutation_matrix(diagram, sigma).entries
-        for first in range(0, len(tableaux), chunk):
-            part = block_mat[:, first * expected_dim : (first + chunk) * expected_dim]
-            moved = permute_matrix_columns(sigma, part, d, n)
-            if moved is part:  # the identity returns its input: conjugate a copy
-                moved = part.copy()
-            worst_cross = max(worst_cross, np.abs(_column_norms(moved) - 1.0).max())
-            overlaps = np.conjugate(moved, out=moved).T @ block_mat
-            del moved  # freed before the next chunk is permuted
-            expected = np.kron(m[:, first : first + chunk].T, eye)
+        local = permute_matrix_columns(sigma, where, d, n)[project.gather]
+        for part, blocks, cols in project.stacks:
+            moved = blocks.reshape(-1, blocks.shape[2])[local[part] - part.start]
+            moved = moved.reshape(blocks.shape)
+            worst_cross = max(worst_cross, np.abs(np.linalg.norm(moved, axis=1) - 1.0).max())
+            ti, a = np.divmod(cols, expected_dim)
+            expected = m[ti[:, None, :], ti[:, :, None]] * (a[:, :, None] == a[:, None, :])
+            overlaps = moved.conj().transpose(0, 2, 1) @ blocks
             worst_cross = max(worst_cross, np.abs(overlaps - expected).max())
     record("orthogonal-form cross-check", worst_cross, 1e-9, f"{len(sigmas)} permutations")
 

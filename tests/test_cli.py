@@ -1,17 +1,38 @@
 import hashlib
 import json
+import re
+import tracemalloc
+from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from schurweyl.cli import main
-from schurweyl.verification import CheckResult
+from schurweyl.orthogonal_form import IrrepMatrix, permutation_matrix
+from schurweyl.spectral import MaximizeConfig, max_lambda1_over_subspace
+from schurweyl.tensor_space import block_basis
+from schurweyl.verification import CheckResult, run_verification
+from schurweyl.young import YoungDiagram
+
+EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
 
 
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+def cross_check(runner, partition, d):
+    result = runner.invoke(
+        main,
+        ["verify", "--partition", partition, "--d", str(d), "--samples", "2",
+         "--format", "json"],
+    )
+    assert result.exit_code in (0, 1), result.output
+    checks = json.loads(result.output)["checks"]
+    return next(c for c in checks if c["name"] == "orthogonal-form cross-check")
 
 
 class TestBound:
@@ -94,6 +115,44 @@ class TestVerify:
         result = runner.invoke(main, ["verify", "--partition", "2,1", "--d", "2"])
         assert result.exit_code == 1
         assert "FAIL" in result.output
+
+    def test_check_names_match_benchmark_record(self, runner):
+        # the benchmark compares verify's check names with this record
+        record = json.loads(EXPECTED.read_text())["verify-321-d3"]["checks"]
+        result = runner.invoke(
+            main,
+            ["verify", "--partition", "3,2,1", "--d", "3", "--samples", "2",
+             "--format", "json"],
+        )
+        assert result.exit_code == 0, result.output
+        assert [c["name"] for c in json.loads(result.output)["checks"]] == record
+
+    def test_cross_check_sees_inverse_action(self, runner, monkeypatch):
+        # seed 0 draws a sigma whose inverse acts alike on (3,2,1)/d3, and
+        # the transpositions are involutions: only the N-cycle tells
+        import schurweyl.verification as verification
+
+        permute = verification.permute_matrix_columns
+        monkeypatch.setattr(
+            verification, "permute_matrix_columns",
+            lambda sigma, mat, d, n: permute(sigma.inverse(), mat, d, n),
+        )
+        assert cross_check(runner, "3,2,1", 3)["passed"] is False
+
+    @pytest.mark.parametrize("partition, d", [("2,2,1", 5), ("3,2,1", 4)])
+    def test_cross_check_sees_flipped_sign(self, runner, monkeypatch, partition, d):
+        # both blocks have more than 256 columns
+        import schurweyl.verification as verification
+
+        def flipped(diagram, sigma):
+            out = permutation_matrix(diagram, sigma)
+            entries = out.entries.copy()
+            off = np.abs(entries) * (1 - np.eye(len(entries)))
+            entries[np.unravel_index(np.argmax(off), entries.shape)] *= -1
+            return IrrepMatrix(out.diagram, out.basis, entries)
+
+        monkeypatch.setattr(verification, "permutation_matrix", flipped)
+        assert cross_check(runner, partition, d)["passed"] is False
 
     def test_cap_exceeded_is_usage_error(self, runner, monkeypatch):
         monkeypatch.setenv("SCHURWEYL_CAP", "4")
@@ -209,9 +268,9 @@ class TestMemoryEstimate:
     # f * dim V = 2 * 2 columns of 8 amplitudes
     @pytest.mark.parametrize("args, need", [
         (["maximize", "--partition", "2,1", "--d", "2"], 16 * 8 * 4),
-        # verify: the block, its larger work space (256 columns, more than
-        # six sectors of 2 columns) and 2 tableaux x 5 sample projections
-        (["verify", "--partition", "2,1", "--d", "2"], 16 * 8 * (4 + 256 + 2 * 5)),
+        # verify: the block, its work space (six sectors of 2 columns) and
+        # 2 tableaux x 5 sample projections
+        (["verify", "--partition", "2,1", "--d", "2"], 16 * 8 * (4 + 6 * 2 + 2 * 5)),
         # below the cap (4**9 <= 2**20), but its block alone is 14.1 GB
         (["maximize", "--partition", "3,3,2,1", "--d", "4"], 16 * 4**9 * 3360),
     ], ids=["maximize", "verify", "maximize-3321-d4"])
@@ -227,9 +286,32 @@ class TestMemoryEstimate:
     def test_run_within_physical_memory_goes_ahead(self, runner, monkeypatch):
         import schurweyl.cli as cli
 
-        monkeypatch.setattr(cli, "_physical_memory", lambda: 16 * 8 * (4 + 256 + 2 * 5))
+        monkeypatch.setattr(cli, "_physical_memory", lambda: 16 * 8 * (4 + 6 * 2 + 2 * 5))
         result = runner.invoke(main, ["verify", "--partition", "2,1", "--d", "2"])
         assert result.exit_code == 0, result.output
+
+    @pytest.mark.parametrize("args, run", [
+        (["maximize"], lambda diagram: max_lambda1_over_subspace(
+            block_basis(diagram, 4), 4, 5, MaximizeConfig(restarts=1, seed=0))),
+        (["verify", "--samples", "2"], lambda diagram: run_verification(
+            diagram, 4, samples=2)),
+    ], ids=["maximize", "verify"])
+    def test_estimate_tracks_traced_peak(self, runner, monkeypatch, args, run):
+        # the estimate against the memory the run takes, as tracemalloc
+        # sees numpy's allocations: (3,2,1) at d = 4, a block of 64 MiB
+        import schurweyl.cli as cli
+
+        monkeypatch.setattr(cli, "_physical_memory", lambda: 0)
+        result = runner.invoke(main, args + ["--partition", "3,2,1", "--d", "4"])
+        assert result.exit_code == 2, result.output
+        need = int(re.search(r"about (\d+) bytes", result.output).group(1))
+        tracemalloc.start()
+        try:
+            run(YoungDiagram((3, 2, 1)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.8 * need <= peak <= 1.25 * need, peak / need
 
 
 @pytest.mark.parametrize(
