@@ -65,10 +65,15 @@ def _check_cap(diagram: YoungDiagram, d: int, samples: int | None = None) -> Non
     fit in physical memory.
 
     The estimate is exact integer arithmetic, made before anything is
-    allocated: the complex block matrix, and for ``verify`` (``samples``
-    given) also its work space, six sectors (the singular vectors and
-    projector stages of the Schmidt confinement check), and every tableau's
-    projection of the samples.
+    allocated, counted in vectors of d**N complex amplitudes.  ``maximize``
+    holds the block matrix, f * dim V vectors.  ``verify`` (``samples``
+    given) peaks in the larger of two phases.  The sample checks hold the
+    samples and one tableau's projection of them, ``pairs = min(2, samples)``
+    projection columns of every tableau, and the widest projector call, on
+    ``samples + pairs * f`` columns, with its two stage buffers:
+    ``4 * pairs * f + 5 * samples`` vectors.  The block checks hold the block
+    and about four sectors of Schmidt confinement work space (singular
+    vectors, kept columns and projector stages): ``(f + 4) * dim V``.
     """
     n = diagram.n_boxes
     try:
@@ -78,9 +83,11 @@ def _check_cap(diagram: YoungDiagram, d: int, samples: int | None = None) -> Non
     vector = 16 * d**n
     f = dim_symmetric_group_irrep(diagram)
     dim_v = dim_unitary_group_irrep(diagram, d)
-    need = vector * f * dim_v
-    if samples is not None:
-        need += vector * (6 * dim_v + f * samples)
+    if samples is None:
+        need = vector * f * dim_v
+    else:
+        pairs = min(2, samples)
+        need = vector * max(4 * pairs * f + 5 * samples, (f + 4) * dim_v)
     memory = _physical_memory()
     if need > memory:
         raise click.UsageError(

@@ -225,16 +225,23 @@ def swap_factors(psi: TensorState, k: int, l: int) -> TensorState:
     return apply_permutation(Permutation.transposition(n, k, l), psi)
 
 
+def _rotated(u: np.ndarray, arr: np.ndarray, d: int, n: int) -> np.ndarray:
+    """The one-factor map u on every factor of a flat vector or of every
+    column of a (d**n, batch) matrix, one tensordot per factor."""
+    batch = arr.shape[1:]
+    nd = arr.reshape((d,) * n + batch)
+    for ax in range(n):
+        nd = np.moveaxis(np.tensordot(u, nd, axes=(1, ax)), 0, ax)
+    return nd.reshape(arr.shape)
+
+
 def apply_local_unitary(psi: TensorState, u) -> TensorState:
     """Apply the same one-factor map u to every tensor factor."""
     mat = np.asarray(u, dtype=np.complex128)
     d = psi.local_dim
     if mat.shape != (d, d):
         raise ValueError(f"expected a {d}x{d} matrix")
-    nd = psi.nd()
-    for ax in range(psi.n_factors):
-        nd = np.moveaxis(np.tensordot(mat, nd, axes=(1, ax)), 0, ax)
-    return TensorState(d, psi.n_factors, nd.reshape(-1))
+    return TensorState(d, psi.n_factors, _rotated(mat, psi.amplitudes, d, psi.n_factors))
 
 
 Stage = tuple[Fraction, Fraction, tuple[tuple[int, Permutation], ...]]

@@ -12,11 +12,18 @@ from hypothesis import given, settings, strategies as st
 from schurweyl.cli import main
 from schurweyl.orthogonal_form import IrrepMatrix, permutation_matrix
 from schurweyl.spectral import MaximizeConfig, max_lambda1_over_subspace
-from schurweyl.tensor_space import block_basis
+from schurweyl.tensor_space import OperatorExpr, block_basis
 from schurweyl.verification import CheckResult, run_verification
-from schurweyl.young import YoungDiagram
+from schurweyl.young import YoungDiagram, enumerate_standard_tableaux, removable_boxes
 
 EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+# the benchmark's verify ops: partition and d, each run at seed 0 with 2 samples
+BENCHMARK_VERIFY_OPS = {
+    "verify-321-d3": ("3,2,1", "3"),
+    "verify-322-d3": ("3,2,2", "3"),
+    "verify-2211-d4": ("2,2,1,1", "4"),
+    "verify-221-d5": ("2,2,1", "5"),
+}
 
 
 @pytest.fixture
@@ -24,7 +31,7 @@ def runner():
     return CliRunner()
 
 
-def cross_check(runner, partition, d):
+def verify_check(runner, partition, d, name):
     result = runner.invoke(
         main,
         ["verify", "--partition", partition, "--d", str(d), "--samples", "2",
@@ -32,7 +39,15 @@ def cross_check(runner, partition, d):
     )
     assert result.exit_code in (0, 1), result.output
     checks = json.loads(result.output)["checks"]
-    return next(c for c in checks if c["name"] == "orthogonal-form cross-check")
+    return next(c for c in checks if c["name"] == name)
+
+
+class Phased(OperatorExpr):
+    """The operator followed by a fixed, non-uniform diagonal phase."""
+
+    def _apply_raw(self, arr):
+        phase = np.exp(1j * np.arange(len(arr)))
+        return phase.reshape((-1,) + (1,) * (arr.ndim - 1)) * super()._apply_raw(arr)
 
 
 class TestBound:
@@ -116,16 +131,59 @@ class TestVerify:
         assert result.exit_code == 1
         assert "FAIL" in result.output
 
-    def test_check_names_match_benchmark_record(self, runner):
-        # the benchmark compares verify's check names with this record
-        record = json.loads(EXPECTED.read_text())["verify-321-d3"]["checks"]
+    @pytest.mark.parametrize("op", list(BENCHMARK_VERIFY_OPS))
+    def test_check_names_match_benchmark_record(self, runner, op):
+        # every verify op of the benchmark, run as the benchmark runs it,
+        # passes and reports the check names recorded for it
+        record = json.loads(EXPECTED.read_text())[op]["checks"]
+        partition, d = BENCHMARK_VERIFY_OPS[op]
         result = runner.invoke(
             main,
-            ["verify", "--partition", "3,2,1", "--d", "3", "--samples", "2",
-             "--format", "json"],
+            ["verify", "--partition", partition, "--d", d, "--samples", "2",
+             "--seed", "0", "--format", "json"],
         )
         assert result.exit_code == 0, result.output
         assert [c["name"] for c in json.loads(result.output)["checks"]] == record
+
+    @pytest.mark.parametrize("fault, name", [
+        (lambda op, neighbour: neighbour, "pairwise orthogonality"),
+        (lambda op, neighbour: OperatorExpr(
+            op.local_dim, op.n_factors, op.stages + ((2, 1, ()),)),
+         "projector idempotence"),
+        (lambda op, neighbour: Phased(op.local_dim, op.n_factors, op.stages),
+         "local-unitary covariance"),
+    ], ids=["neighbour", "twice", "phased"])
+    def test_sample_check_sees_faulty_projector(self, runner, monkeypatch, fault, name):
+        # the second tableau of (2,2,1) gets a faulty projector: the first
+        # tableau's, twice its own, or its own followed by a diagonal phase
+        import schurweyl.verification as verification
+
+        first, second = enumerate_standard_tableaux(YoungDiagram((2, 2, 1)))[:2]
+        project = verification.orthogonal_projector
+        monkeypatch.setattr(
+            verification, "orthogonal_projector",
+            lambda t, d: fault(project(t, d), project(first, d)) if t == second
+            else project(t, d),
+        )
+        assert verify_check(runner, "2,2,1", 3, name)["passed"] is False
+
+    def test_projector_calls_within_budget(self, monkeypatch):
+        # two calls per tableau for the sample checks, one per tableau for
+        # the block resolution and for the Schmidt confinement, two per
+        # corner for the saturating states, and at most four more: the two
+        # closed forms, the seed of the block and the coherent state
+        calls = []
+        apply_raw = OperatorExpr._apply_raw
+
+        def counted(self, arr):
+            calls.append(arr.shape)
+            return apply_raw(self, arr)
+
+        monkeypatch.setattr(OperatorExpr, "_apply_raw", counted)
+        diagram = YoungDiagram((3, 2, 2))
+        run_verification(diagram, 3, samples=2)
+        f = len(enumerate_standard_tableaux(diagram))
+        assert len(calls) <= 4 * f + 2 * len(removable_boxes(diagram)) + 4
 
     def test_cross_check_sees_inverse_action(self, runner, monkeypatch):
         # seed 0 draws a sigma whose inverse acts alike on (3,2,1)/d3, and
@@ -137,11 +195,10 @@ class TestVerify:
             verification, "permute_matrix_columns",
             lambda sigma, mat, d, n: permute(sigma.inverse(), mat, d, n),
         )
-        assert cross_check(runner, "3,2,1", 3)["passed"] is False
+        assert verify_check(runner, "3,2,1", 3, "orthogonal-form cross-check")["passed"] is False
 
     @pytest.mark.parametrize("partition, d", [("2,2,1", 5), ("3,2,1", 4)])
     def test_cross_check_sees_flipped_sign(self, runner, monkeypatch, partition, d):
-        # both blocks have more than 256 columns
         import schurweyl.verification as verification
 
         def flipped(diagram, sigma):
@@ -152,7 +209,8 @@ class TestVerify:
             return IrrepMatrix(out.diagram, out.basis, entries)
 
         monkeypatch.setattr(verification, "permutation_matrix", flipped)
-        assert cross_check(runner, partition, d)["passed"] is False
+        check = verify_check(runner, partition, d, "orthogonal-form cross-check")
+        assert check["passed"] is False
 
     def test_cap_exceeded_is_usage_error(self, runner, monkeypatch):
         monkeypatch.setenv("SCHURWEYL_CAP", "4")
@@ -268,9 +326,9 @@ class TestMemoryEstimate:
     # f * dim V = 2 * 2 columns of 8 amplitudes
     @pytest.mark.parametrize("args, need", [
         (["maximize", "--partition", "2,1", "--d", "2"], 16 * 8 * 4),
-        # verify: the block, its work space (six sectors of 2 columns) and
-        # 2 tableaux x 5 sample projections
-        (["verify", "--partition", "2,1", "--d", "2"], 16 * 8 * (4 + 6 * 2 + 2 * 5)),
+        # verify: its sample checks, 4 * 2 pairs * 2 tableaux + 5 * 5 samples,
+        # outweigh the block plus four sectors, (2 + 4) * 2
+        (["verify", "--partition", "2,1", "--d", "2"], 16 * 8 * (4 * 2 * 2 + 5 * 5)),
         # below the cap (4**9 <= 2**20), but its block alone is 14.1 GB
         (["maximize", "--partition", "3,3,2,1", "--d", "4"], 16 * 4**9 * 3360),
     ], ids=["maximize", "verify", "maximize-3321-d4"])
@@ -286,28 +344,39 @@ class TestMemoryEstimate:
     def test_run_within_physical_memory_goes_ahead(self, runner, monkeypatch):
         import schurweyl.cli as cli
 
-        monkeypatch.setattr(cli, "_physical_memory", lambda: 16 * 8 * (4 + 6 * 2 + 2 * 5))
+        monkeypatch.setattr(cli, "_physical_memory", lambda: 16 * 8 * (4 * 2 * 2 + 5 * 5))
         result = runner.invoke(main, ["verify", "--partition", "2,1", "--d", "2"])
         assert result.exit_code == 0, result.output
 
-    @pytest.mark.parametrize("args, run", [
-        (["maximize"], lambda diagram: max_lambda1_over_subspace(
-            block_basis(diagram, 4), 4, 5, MaximizeConfig(restarts=1, seed=0))),
-        (["verify", "--samples", "2"], lambda diagram: run_verification(
-            diagram, 4, samples=2)),
-    ], ids=["maximize", "verify"])
-    def test_estimate_tracks_traced_peak(self, runner, monkeypatch, args, run):
+    @pytest.mark.parametrize("command, partition, d", [
+        ("maximize", "3,2,1", 4),
+        ("verify", "3,2,1", 4),
+        ("verify", "2,2,2,1", 4),
+        ("verify", "2,2,1", 5),
+    ], ids=["maximize", "verify", "verify-2221-d4", "verify-221-d5"])
+    def test_estimate_tracks_traced_peak(self, runner, monkeypatch, command, partition, d):
         # the estimate against the memory the run takes, as tracemalloc
-        # sees numpy's allocations: (3,2,1) at d = 4, a block of 64 MiB
+        # sees numpy's allocations.  (3,2,1) at d = 4 is a block of 64 MiB;
+        # (2,2,2,1) at d = 4 has dim V = 4, so its sample checks set the peak
         import schurweyl.cli as cli
 
         monkeypatch.setattr(cli, "_physical_memory", lambda: 0)
-        result = runner.invoke(main, args + ["--partition", "3,2,1", "--d", "4"])
+        args = [command, "--partition", partition, "--d", str(d)]
+        if command == "verify":
+            args += ["--samples", "2"]
+        result = runner.invoke(main, args)
         assert result.exit_code == 2, result.output
         need = int(re.search(r"about (\d+) bytes", result.output).group(1))
+        diagram = YoungDiagram.from_string(partition)
         tracemalloc.start()
         try:
-            run(YoungDiagram((3, 2, 1)))
+            if command == "maximize":
+                max_lambda1_over_subspace(
+                    block_basis(diagram, d), d, diagram.n_boxes - 1,
+                    MaximizeConfig(restarts=1, seed=0),
+                )
+            else:
+                run_verification(diagram, d, samples=2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -12,6 +12,7 @@ from schurweyl.tensor_space import (
     DimensionCapError,
     OperatorExpr,
     TensorState,
+    _rotated,
     antisymmetrizer,
     apply_local_unitary,
     apply_permutation,
@@ -451,6 +452,11 @@ class TestOrthogonalProjector:
                 lhs = proj(apply_local_unitary(x, u))
                 rhs = apply_local_unitary(proj(x), u)
                 assert (lhs - rhs).norm() < 1e-10
+        # the same map on every column of a batch is the dense kron(u, u, u)
+        mat = np.column_stack([random_state(3, 3, rng).amplitudes for _ in range(4)])
+        np.testing.assert_allclose(
+            _rotated(u, mat, 3, 3), np.kron(np.kron(u, u), u) @ mat, rtol=0, atol=1e-13
+        )
 
     def test_rank_via_full_scan(self):
         # project every computational basis vector and count independent images
