@@ -32,7 +32,6 @@ from .orthogonal_form import (
     permutation_sign,
 )
 from .tensor_space import (
-    DimensionCapError,
     OperatorExpr,
     TensorState,
     antisymmetrizer,
@@ -41,7 +40,6 @@ from .tensor_space import (
     block_basis,
     closed_form_projector,
     column_antisymmetrizer,
-    flat_dim_cap,
     orthogonal_projector,
     random_state,
     row_symmetrizer,

@@ -12,6 +12,7 @@ import itertools
 import json
 import math
 import os
+from collections import Counter
 from dataclasses import asdict
 
 import click
@@ -22,7 +23,7 @@ from .spectral import (
     max_lambda1_over_subspace,
     schmidt_decompose,
 )
-from .tensor_space import _check_within_cap, block_basis
+from .tensor_space import _block_weights
 from .verification import CheckResult, run_verification
 from .young import (
     YoungDiagram,
@@ -30,6 +31,7 @@ from .young import (
     dim_symmetric_group_irrep,
     dim_unitary_group_irrep,
     entropy_from_bound,
+    enumerate_semistandard_tableaux,
     enumerate_standard_tableaux,
     max_schmidt_bound,
     partitions_of,
@@ -60,38 +62,46 @@ def _physical_memory() -> float:
         return math.inf
 
 
-def _check_cap(diagram: YoungDiagram, d: int, samples: int | None = None) -> None:
-    """Usage error unless d**N is within the cap and the run's dense arrays
-    fit in physical memory.
-
-    The estimate is exact integer arithmetic, made before anything is
-    allocated, counted in vectors of d**N complex amplitudes.  ``maximize``
-    holds the block matrix, f * dim V vectors.  ``verify`` (``samples``
-    given) peaks in the larger of two phases.  The sample checks hold the
-    samples and one tableau's projection of them, ``pairs = min(2, samples)``
-    projection columns of every tableau, and the widest projector call, on
-    ``samples + pairs * f`` columns, with its two stage buffers:
-    ``4 * pairs * f + 5 * samples`` vectors.  The block checks hold the block
-    and about four sectors of Schmidt confinement work space (singular
-    vectors, kept columns and projector stages): ``(f + 4) * dim V``.
-    """
+def _memory_need(diagram: YoungDiagram, d: int, samples: int | None = None) -> int:
+    """Bytes of arrays the run holds at its peak, in exact integers.  A
+    sector is ``16 * d**N * dim V`` bytes; a weight w of K_w semistandard
+    fillings is a block of multinomial(w) rows and ``f * K_w`` columns.  The
+    seed's batched projection holds three sectors (candidates, stage buffer,
+    result).  ``maximize`` then holds the blocks and, for its orthonormality
+    check, a copy of the largest.  ``verify`` (``samples`` given) peaks in
+    its sample checks, ``4 * min(2, samples) * f + 5 * samples`` vectors of
+    ``16 * d**N`` bytes, or in its block checks: the blocks and three times
+    the larger of a sector (the Schmidt loop's kept columns and two stage
+    buffers) and the largest stack of blocks of one shape (the cross-check's
+    permuted copy, its conjugate and their overlaps)."""
     n = diagram.n_boxes
-    try:
-        _check_within_cap(d**n)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
-    vector = 16 * d**n
     f = dim_symmetric_group_irrep(diagram)
-    dim_v = dim_unitary_group_irrep(diagram, d)
+    sector = 16 * d**n * dim_unitary_group_irrep(diagram, d)
+    kostka = Counter(  # weight -> fillings
+        tuple(sorted(x for row in filling for x in row))
+        for filling in enumerate_semistandard_tableaux(diagram, d)
+    )
+    shapes = Counter(  # (rows, columns) of a block -> blocks of that shape
+        (math.factorial(n) // math.prod(map(math.factorial, Counter(w).values())), f * k)
+        for w, k in kostka.items()
+    )
+    stacks = [16 * rows * cols * count for (rows, cols), count in shapes.items()]
     if samples is None:
-        need = vector * f * dim_v
-    else:
-        pairs = min(2, samples)
-        need = vector * max(4 * pairs * f + 5 * samples, (f + 4) * dim_v)
+        return max(3 * sector, sum(stacks) + 16 * max((r * c for r, c in shapes), default=0))
+    sample_checks = 16 * d**n * (4 * min(2, samples) * f + 5 * samples)
+    return max(sample_checks, sum(stacks) + 3 * max([sector, *stacks]))
+
+
+def _check_memory(diagram: YoungDiagram, d: int, samples: int | None = None) -> None:
+    """Usage error, before any array exists, unless the run fits in physical
+    memory; the fillings are listed only once the seed's three sectors fit."""
     memory = _physical_memory()
+    need = 48 * d**diagram.n_boxes * dim_unitary_group_irrep(diagram, d)
+    if need <= memory:
+        need = _memory_need(diagram, d, samples)
     if need > memory:
         raise click.UsageError(
-            f"this run needs about {need} bytes of dense arrays, more than the "
+            f"this run needs about {need} bytes of arrays, more than the "
             f"{memory} bytes of physical memory"
         )
 
@@ -216,7 +226,7 @@ def verify(ctx: click.Context, partition: str, d: int | None, seed: int,
     diagram = _parse_partition(partition)
     _require_boxes(diagram, 1)
     d = diagram.n_rows if d is None else d
-    _check_cap(diagram, d, samples)
+    _check_memory(diagram, d, samples)
     results = run_verification(diagram, d, seed=seed, samples=samples)
     ok = all(r.passed for r in results)
     payload = {
@@ -277,7 +287,7 @@ def maximize(ctx: click.Context, partition: str, d: int | None, cut: int | None,
             err=True,
         )
         raise click.UsageError("no block to maximize over at this d")
-    _check_cap(diagram, d)
+    _check_memory(diagram, d)
     exact, witness = max_schmidt_bound(diagram)
 
     pairs = []
@@ -285,9 +295,8 @@ def maximize(ctx: click.Context, partition: str, d: int | None, cut: int | None,
         seed_state = optimizer_state(diagram, witness, d=d)
         sr = schmidt_decompose(seed_state, cut)
         pairs.append((sr.left_vectors[0], sr.right_vectors[0]))
-    # Passed inline: the ascent copies its weight blocks and frees the block.
     report = max_lambda1_over_subspace(
-        block_basis(diagram, d),
+        _block_weights(diagram, d),
         d,
         cut,
         config,

@@ -11,10 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tensor_space import TensorState, _weight_cells, _weight_keys
-
-# Tolerance for declaring a supplied basis orthonormal.
-BASIS_TOL = 1e-8
+from .tensor_space import TensorState, _WeightBlocks, _weight_projector
 
 
 @dataclass
@@ -102,8 +99,8 @@ class MaximizationReport:
     ``best_restart`` indexes the restart whose final objective is
     ``best_lambda1_sq`` in ``iterations`` and ``converged``.
     ``fixed_point_residual`` is :func:`verify_fixed_point` of the maximizer
-    at the cut, computed with the weight blocks the ascent projected with,
-    so the basis must consist of weight vectors as for the ascent.
+    at the cut, computed with the weight blocks the ascent projected with:
+    the ones it was given, or those copied out of its basis matrix.
     """
 
     best_lambda1_sq: float
@@ -134,75 +131,6 @@ class MaximizationReport:
         return out
 
 
-@dataclass(frozen=True)
-class _WeightBlocks:
-    """A basis matrix's nonzero weight blocks, stacked by shape: ``gather``
-    lists the rows weight by weight, and each of ``stacks`` is ``(part,
-    blocks, cols)``, the stack's slice of ``gather``, its ``(count, h, w)``
-    blocks and their ``(count, w)`` column indices.  Calling it projects a
-    ``(d**n,)`` vector or ``(d**n, batch)`` matrix onto the span: one
-    gather, two stacked products per shape and one scatter."""
-
-    gather: np.ndarray
-    stacks: list[tuple[slice, np.ndarray, np.ndarray]]
-
-    def __call__(self, vec: np.ndarray) -> np.ndarray:
-        gathered = vec[self.gather]
-        result = np.empty_like(gathered, dtype=np.complex128)
-        for part, blocks, _ in self.stacks:
-            shape = blocks.shape[:2] + (-1,)
-            # blocks^H g as (g^H blocks)^H: no conjugate copy of the blocks
-            coeffs = (gathered[part].reshape(shape).conj().transpose(0, 2, 1) @ blocks).conj()
-            np.matmul(blocks, coeffs.transpose(0, 2, 1), out=result[part].reshape(shape))
-        out = np.zeros(vec.shape, dtype=np.complex128)
-        out[self.gather] = result
-        return out
-
-
-def _weight_projector(mat: np.ndarray, d: int, n: int) -> _WeightBlocks:
-    """Orthogonal projector onto the span of the columns of ``mat``, applied
-    one weight space at a time.
-
-    Every column must be a weight vector: zero off the rows of one digit
-    multiset, which its first nonzero entry names.  The nonzero block of
-    each weight is copied out of ``mat``, and blocks of one shape are
-    stacked, so the projector keeps no reference to ``mat``.  Columns of
-    different weights are exactly orthogonal, so orthonormality is checked
-    block by block.
-    """
-    rows, cols = mat.shape
-    if cols == 0:
-        raise ValueError("empty basis")
-    keys = _weight_keys(d, n)
-    col_keys = np.empty(cols, dtype=np.int64)
-    for j in range(cols):
-        first = int(np.argmax(mat[:, j] != 0))
-        if mat[first, j] == 0:
-            raise ValueError("basis is not orthonormal")
-        col_keys[j] = keys[first]
-    by_shape: dict[tuple[int, int], list[tuple[np.ndarray, np.ndarray]]] = {}
-    for r, c in _weight_cells(keys, col_keys):
-        by_shape.setdefault((r.size, c.size), []).append((r, c))
-    # One stack of blocks per shape, filled a block at a time; part slices
-    # the stack's rows out of gather.
-    stacks = []
-    stop = 0
-    for (height, width), cells in by_shape.items():
-        blocks = np.empty((len(cells), height, width), dtype=np.complex128)
-        for block, (r, c) in zip(blocks, cells):
-            block[...] = mat[np.ix_(r, c)]
-        start, stop = stop, stop + len(cells) * height
-        stacks.append((slice(start, stop), blocks, np.stack([c for _, c in cells])))
-    if sum(np.count_nonzero(blocks) for _, blocks, _ in stacks) != np.count_nonzero(mat):
-        raise ValueError("basis columns are not weight vectors")
-    for _, blocks, _ in stacks:
-        for block in blocks:
-            if np.abs(block.conj().T @ block - np.eye(block.shape[1])).max() > BASIS_TOL:
-                raise ValueError("basis is not orthonormal")
-    gather = np.concatenate([r for cells in by_shape.values() for r, _ in cells])
-    return _WeightBlocks(gather, stacks)
-
-
 def _factor_count(rows: int, d: int, k: int) -> int:
     # N with d**N == rows, in integers.  At d = 1 every N fits, and the
     # least one the cut allows, k + 1, is taken.
@@ -215,7 +143,7 @@ def _factor_count(rows: int, d: int, k: int) -> int:
 
 
 def max_lambda1_over_subspace(
-    basis: np.ndarray,
+    basis: np.ndarray | _WeightBlocks,
     d: int,
     k: int,
     config: MaximizeConfig | None = None,
@@ -234,18 +162,21 @@ def max_lambda1_over_subspace(
     only when its last step produced a state: one that ends on a reset from
     a start orthogonal to the subspace does not.  ``initial_pairs``
     prepends deterministic restarts (e.g. a pair taken from a known
-    saturating state) to the random ones.  ``basis`` is the ``d^N x dim``
-    matrix of an orthonormal basis of weight vectors, each zero off the rows
-    of one digit multiset (N is read off its rows), as :func:`block_basis`
-    returns it.  Its nonzero blocks are copied once, one per weight, and
-    every projection applies them; the function then holds no reference to
-    the dense matrix.
+    saturating state) to the random ones.  ``basis`` is an orthonormal
+    basis of weight vectors: its weight blocks, which carry N, or the
+    ``d^N x dim`` matrix of one, each column zero off the rows of one digit
+    multiset (N is read off its rows), as :func:`block_basis` returns it.
+    Every projection applies the weight blocks; a matrix's are copied out
+    once, and the function then holds no reference to it.
     """
     config = config or MaximizeConfig()
-    mat = np.asarray(basis)
-    n = _factor_count(mat.shape[0], d, k)
-    project = _weight_projector(mat, d, n)
-    del basis, mat
+    project = basis
+    if not isinstance(basis, _WeightBlocks):
+        project = _weight_projector(np.asarray(basis), d, _factor_count(len(basis), d, k))
+    del basis
+    if project.d != d:
+        raise ValueError(f"weight blocks live on local dimension {project.d}, not {d}")
+    n = project.n
     if not 1 <= k <= n - 1:
         raise ValueError(f"cut must be in 1..{n - 1}")
     dim_a, dim_b = d**k, d ** (n - k)

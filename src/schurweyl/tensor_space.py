@@ -11,7 +11,7 @@ materialized.
 from __future__ import annotations
 
 import math
-import os
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -27,35 +27,6 @@ from .young import (
     enumerate_semistandard_tableaux,
     enumerate_standard_tableaux,
 )
-
-DEFAULT_CAP = 2**20
-
-
-class DimensionCapError(ValueError):
-    """Raised when d**n exceeds the configured dense-vector cap."""
-
-
-def flat_dim_cap() -> int:
-    """Dense-vector length cap; override with the SCHURWEYL_CAP env var."""
-    raw = os.environ.get("SCHURWEYL_CAP")
-    if raw is None:
-        return DEFAULT_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"SCHURWEYL_CAP must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise ValueError(f"SCHURWEYL_CAP must be positive, got {cap}")
-    return cap
-
-
-def _check_within_cap(total: int) -> None:
-    cap = flat_dim_cap()
-    if total > cap:
-        raise DimensionCapError(
-            f"d**n = {total} exceeds the cap {cap}; set SCHURWEYL_CAP to raise it"
-        )
-
 
 class TensorState:
     """Dense complex vector in (C^d)^(tensor n).
@@ -74,7 +45,6 @@ class TensorState:
         if n_factors < 1:
             raise ValueError("need at least one tensor factor")
         total = local_dim**n_factors
-        _check_within_cap(total)
         amps = np.array(amplitudes, dtype=np.complex128).reshape(-1)
         if amps.shape != (total,):
             raise ValueError(
@@ -498,7 +468,6 @@ def subspace_basis(t: StandardTableau, d: int) -> np.ndarray:
     when d is smaller than the number of rows.
     """
     n = t.n
-    _check_within_cap(d**n)
     if d < t.diagram.n_rows:
         return np.zeros((d**n, 0), dtype=np.complex128)
     fillings = enumerate_semistandard_tableaux(t.diagram, d)
@@ -528,40 +497,125 @@ def subspace_basis(t: StandardTableau, d: int) -> np.ndarray:
     return images
 
 
-def block_basis(diagram: YoungDiagram, d: int) -> np.ndarray:
-    """Orthonormal basis of the diagram's whole block: one C-ordered
-    ``(d**N, f * dim V)`` matrix, no column when d is smaller than the number
-    of rows.
+# Tolerance for declaring a supplied basis orthonormal.
+BASIS_TOL = 1e-8
 
-    Tableau-major: column ``i * dim V + a`` holds vector a of the sector of
-    the i-th tableau in canonical order, and vector a of every sector
-    corresponds to the same unitary-group basis vector.  The first tableau's
-    columns are :func:`subspace_basis`; every other tableau s = (k k+1) t is
-    reached across an adjacent-entry swap with axial distance |r| >= 2, where
-    Young's orthogonal form reads sigma_k v_t = v_t / r + sqrt(1 - 1/r^2) v_s.
-    So v_s = (sigma_k v_t - v_t / r) / sqrt(1 - 1/r^2): one permutation and
-    one axpy per swap, written into the columns of s, no projector.  The
-    positive mixing coefficient fixes all relative phases, so the permutation
-    action is block-diagonal in the unitary index and reproduces the
-    orthogonal-form matrices on the tableau labels.
-    """
+
+@dataclass(frozen=True)
+class _WeightBlocks:
+    """An orthonormal basis of weight vectors on (C^d)^(tensor n) as its
+    nonzero weight blocks, stacked by shape: ``gather`` lists the rows weight
+    by weight, and each stack is ``(part, blocks, cols)``: its slice of
+    ``gather``, its ``(count, h, w)`` blocks and their ``(count, w)``
+    ascending column indices.  Orthonormality is checked block by block on
+    construction.  Calling it projects a ``(d**n,)`` vector or ``(d**n,
+    batch)`` matrix onto the span: one gather, two stacked products per
+    shape and one scatter."""
+
+    d: int
+    n: int
+    gather: np.ndarray
+    stacks: list[tuple[slice, np.ndarray, np.ndarray]]
+
+    def __post_init__(self) -> None:
+        for _, blocks, _ in self.stacks:
+            for block in blocks:
+                if np.abs(block.conj().T @ block - np.eye(block.shape[1])).max() > BASIS_TOL:
+                    raise ValueError("basis is not orthonormal")
+
+    @property
+    def width(self) -> int:
+        return sum(cols.size for _, _, cols in self.stacks)
+
+    def __call__(self, vec: np.ndarray) -> np.ndarray:
+        gathered = vec[self.gather]
+        result = np.empty_like(gathered, dtype=np.complex128)
+        for part, blocks, _ in self.stacks:
+            shape = blocks.shape[:2] + (-1,)
+            # blocks^H g as (g^H blocks)^H: no conjugate copy of the blocks
+            coeffs = (gathered[part].reshape(shape).conj().transpose(0, 2, 1) @ blocks).conj()
+            np.matmul(blocks, coeffs.transpose(0, 2, 1), out=result[part].reshape(shape))
+        out = np.zeros(vec.shape, dtype=np.complex128)
+        out[self.gather] = result
+        return out
+
+    def scatter(self, start: int, stop: int) -> np.ndarray:
+        """Basis vectors start..stop-1 as the columns of a dense C-ordered
+        ``(d**n, stop - start)`` matrix, exactly zero off their weights."""
+        out = np.zeros((self.d**self.n, stop - start), dtype=np.complex128)
+        for part, blocks, cols in self.stacks:
+            b, j = np.nonzero((cols >= start) & (cols < stop))
+            rows = self.gather[part].reshape(blocks.shape[:2])[b]
+            out[rows.T, cols[b, j] - start] = blocks[b, :, j].T
+        return out
+
+    def row_map(self, sigma: Permutation) -> list[np.ndarray]:
+        """Per stack, the row of its ``(count * h)`` stacked rows that each
+        row of ``sigma v`` reads in ``v``: a permutation keeps weights."""
+        where = np.empty(self.d**self.n, dtype=np.int64)  # each row's position in gather
+        where[self.gather] = np.arange(self.gather.size)
+        local = permute_matrix_columns(sigma, where, self.d, self.n)[self.gather]
+        return [local[part] - part.start for part, _, _ in self.stacks]
+
+
+def _weight_projector(mat: np.ndarray, d: int, n: int) -> _WeightBlocks:
+    """The weight blocks of the columns of a ``(d**n, dim)`` matrix, each a
+    weight vector: zero off the rows of the digit multiset its first nonzero
+    entry names.  Each weight's nonzero block is copied out of ``mat`` and
+    stacked with those of its shape; no reference to ``mat`` is kept."""
+    cols = mat.shape[1]
+    if cols == 0:
+        raise ValueError("empty basis")
+    keys = _weight_keys(d, n)
+    first = np.argmax(mat != 0, axis=0)
+    if not mat[first, np.arange(cols)].all():
+        raise ValueError("basis is not orthonormal")
+    by_shape: dict[tuple[int, int], list[tuple[np.ndarray, np.ndarray]]] = {}
+    for r, c in _weight_cells(keys, keys[first]):
+        by_shape.setdefault((r.size, c.size), []).append((r, c))
+    # One stack of blocks per shape, filled a block at a time; part slices
+    # the stack's rows out of gather.
+    stacks = []
+    stop = 0
+    for (height, width), cells in by_shape.items():
+        blocks = np.empty((len(cells), height, width), dtype=np.complex128)
+        for block, (r, c) in zip(blocks, cells):
+            block[...] = mat[np.ix_(r, c)]
+        start, stop = stop, stop + len(cells) * height
+        stacks.append((slice(start, stop), blocks, np.stack([c for _, c in cells])))
+    if sum(np.count_nonzero(blocks) for _, blocks, _ in stacks) != np.count_nonzero(mat):
+        raise ValueError("basis columns are not weight vectors")
+    gather = np.concatenate([r for cells in by_shape.values() for r, _ in cells])
+    return _WeightBlocks(d, n, gather, stacks)
+
+
+def _block_weights(diagram: YoungDiagram, d: int) -> _WeightBlocks:
+    """Orthonormal basis of the diagram's whole block as its weight blocks
+    (``ValueError`` when d is smaller than the number of rows).  Column
+    ``i * dim V + a`` is vector a of the i-th tableau's sector, the same
+    unitary-group vector in every sector.  The first tableau's blocks are
+    those of :func:`subspace_basis`; each other tableau s = (k k+1) t is
+    reached across a swap with axial distance |r| >= 2, where Young's
+    orthogonal form reads sigma_k v_t = v_t / r + sqrt(1 - 1/r^2) v_s: one
+    row gather and one axpy per swap and stack, no projector.  The positive
+    mixing coefficient fixes all relative phases."""
     n = diagram.n_boxes
-    _check_within_cap(d**n)
-    if d < diagram.n_rows:
-        return np.zeros((d**n, 0), dtype=np.complex128)
     tableaux = enumerate_standard_tableaux(diagram)
-    first = tableaux[0]
-    seed = subspace_basis(first, d)  # its temporaries are freed before the block exists
-    # sectors[..., i, :] is the (d,)*n view of the columns of tableau i.
-    sectors = np.empty((d,) * n + (len(tableaux), seed.shape[1]), dtype=np.complex128)
-    sectors[..., 0, :] = seed.reshape(sectors.shape[:n] + seed.shape[1:])
-    del seed
+    f = len(tableaux)
+    seed = _weight_projector(subspace_basis(tableaux[0], d), d, n)
+    gather, dim_v = seed.gather, seed.width
+    swaps = {k: seed.row_map(Permutation.transposition(n, k, k + 1)) for k in range(1, n)}
+    stacks = []
+    for part, blocks, cols in seed.stacks:
+        wide = np.empty(blocks.shape[:2] + (f, blocks.shape[2]), dtype=np.complex128)
+        wide[:, :, 0] = blocks  # wide[c, :, i] is block c of tableau i's columns
+        cols = np.arange(f)[:, None] * dim_v + cols[:, None]  # (count, f, w)
+        stacks.append((part, wide, cols.reshape(len(cols), -1)))
+    del seed, blocks
     index = {t: i for i, t in enumerate(tableaux)}
-    reached = {first}
-    frontier = [first]
+    reached, frontier = {tableaux[0]}, [tableaux[0]]
     while frontier:
         t = frontier.pop()
-        v_t = sectors[..., index[t], :]
         for k in range(1, n):
             r = axial_distance(t, k)
             if abs(r) < 2:
@@ -569,13 +623,26 @@ def block_basis(diagram: YoungDiagram, d: int) -> np.ndarray:
             s = t.with_swap(k)
             if s in reached:
                 continue
-            v_s = sectors[..., index[s], :]
-            v_s[...] = v_t.transpose(_axes_for(Permutation.transposition(n, k, k + 1)) + (n,))
-            v_s *= r
-            v_s -= v_t
-            v_s /= math.copysign(math.sqrt(r * r - 1), r)
+            for (_, wide, _), rows in zip(stacks, swaps[k]):
+                flat = wide.reshape(-1, f, wide.shape[3])
+                v_t, v_s = flat[:, index[t]], flat[:, index[s]]
+                v_s[...] = v_t[rows]
+                v_s *= r
+                v_s -= v_t
+                v_s /= math.copysign(math.sqrt(r * r - 1), r)
             reached.add(s)
             frontier.append(s)
-    if len(reached) != len(tableaux):
+    if len(reached) != f:
         raise ArithmeticError("swap moves failed to reach every tableau")
-    return sectors.reshape(d**n, -1)
+    return _WeightBlocks(d, n, gather, [(p, w.reshape(*w.shape[:2], -1), c) for p, w, c in stacks])
+
+
+def block_basis(diagram: YoungDiagram, d: int) -> np.ndarray:
+    """Orthonormal basis of the diagram's whole block: the dense scatter of
+    :func:`_block_weights`, one C-ordered ``(d**N, f * dim V)`` matrix with
+    its column order, every column exactly zero off one weight.  No column
+    when d is smaller than the number of rows."""
+    if d < diagram.n_rows:
+        return np.zeros((d**diagram.n_boxes, 0), dtype=np.complex128)
+    blocks = _block_weights(diagram, d)
+    return blocks.scatter(0, blocks.width)

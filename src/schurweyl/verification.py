@@ -6,7 +6,7 @@ status and a table.  The five sample checks (idempotence, hermiticity,
 pairwise orthogonality, closed-form agreement, local-unitary covariance)
 share one loop over the tableaux with two batched projector calls per
 tableau, so the pairs cost no call of their own; the block checks follow on
-the aligned sector bases, after the sample projections are freed.
+the block's weight blocks (never dense), after the samples are freed.
 """
 
 from __future__ import annotations
@@ -17,13 +17,12 @@ import numpy as np
 
 from .orthogonal_form import Permutation, permutation_matrix
 from .special_states import coherent_state, optimizer_state
-from .spectral import _fixed_point_residual, _weight_projector, schmidt_decompose
+from .spectral import _fixed_point_residual, schmidt_decompose
 from .tensor_space import (
+    _block_weights,
     _rotated,
-    block_basis,
     closed_form_projector,
     orthogonal_projector,
-    permute_matrix_columns,
     random_state,
 )
 from .young import (
@@ -116,25 +115,27 @@ def run_verification(
                "block absent at this d; remaining checks vacuous")
         return results
 
-    # The aligned sector bases, tableau-major: column ti*dim + a holds vector
-    # a of sector ti.  Its weight structure and orthonormality are validated
-    # here, once, by building its weight projector.
+    # The aligned sector bases as weight blocks, orthonormality checked:
+    # column ti*dim + a holds vector a of sector ti.
     expected_dim = dim_unitary_group_irrep(diagram, d)
-    block_mat = block_basis(diagram, d)
-    project = _weight_projector(block_mat, d, n)
-    worst_dim = abs(block_mat.shape[1] / len(tableaux) - expected_dim)
+    project = _block_weights(diagram, d)
+    width = project.width
+    worst_dim = abs(width / len(tableaux) - expected_dim)
     record("sector dimensions", worst_dim, 0.5, f"dim {expected_dim} per sector")
 
     # Random combinations of the sector bases must be fixed by the block sum.
-    combo_count = min(block_mat.shape[1], max(3, samples))
-    coeffs = rng.standard_normal((block_mat.shape[1], combo_count))
+    combo_count = min(width, max(3, samples))
+    coeffs = rng.standard_normal((width, combo_count))
     coeffs = coeffs + 1j * rng.standard_normal(coeffs.shape)
     coeffs /= np.linalg.norm(coeffs, axis=0)
-    combos = block_mat @ coeffs
+    combos = np.zeros((d**n, combo_count), dtype=complex)
+    for part, blocks, cols in project.stacks:
+        combos[project.gather[part]] = (blocks @ coeffs[cols]).reshape(-1, combo_count)
     resolved = np.zeros_like(combos)
     for t in tableaux:
         resolved += projectors[t]._apply_raw(combos)
     worst_block = _column_norms(resolved - combos).max()
+    del combos, resolved
     record("block resolution on sectors", worst_block, 1e-9)
 
     # Permutation action on the aligned bases is the orthogonal-form matrix
@@ -147,41 +148,35 @@ def run_verification(
         sigmas.append(Permutation.random(n, rng))
     if n >= 3:
         sigmas.append(Permutation(tuple(range(2, n + 1)) + (1,)))
-    where = np.empty(d**n, dtype=np.int64)  # each row's position in gather
-    where[project.gather] = np.arange(project.gather.size)
     worst_cross = 0.0
     for sigma in sigmas:
         m = permutation_matrix(diagram, sigma).entries
-        local = permute_matrix_columns(sigma, where, d, n)[project.gather]
-        for part, blocks, cols in project.stacks:
-            moved = blocks.reshape(-1, blocks.shape[2])[local[part] - part.start]
-            moved = moved.reshape(blocks.shape)
+        for (_, blocks, cols), rows in zip(project.stacks, project.row_map(sigma)):
+            moved = blocks.reshape(-1, blocks.shape[2])[rows].reshape(blocks.shape)
             worst_cross = max(worst_cross, np.abs(np.linalg.norm(moved, axis=1) - 1.0).max())
             ti, a = np.divmod(cols, expected_dim)
             expected = m[ti[:, None, :], ti[:, :, None]] * (a[:, :, None] == a[:, None, :])
             overlaps = moved.conj().transpose(0, 2, 1) @ blocks
             worst_cross = max(worst_cross, np.abs(overlaps - expected).max())
+            del moved, overlaps, expected
     record("orthogonal-form cross-check", worst_cross, 1e-9, f"{len(sigmas)} permutations")
 
     # Schmidt data across the cut after factor N-1, from one batched SVD per
-    # sector; only the singular values are kept across sectors.
+    # sector, scattered dense; only the singular values are kept across sectors.
     worst_conf = 0.0
     worst_spec = 0.0
     if n >= 2:
         spectra = {}
         for ti, t in enumerate(tableaux):
-            sector = block_mat[:, ti * expected_dim : (ti + 1) * expected_dim]
+            sector = project.scatter(ti * expected_dim, (ti + 1) * expected_dim).T
             u, coeffs, _ = np.linalg.svd(
-                sector.T.reshape(expected_dim, d ** (n - 1), d), full_matrices=False
+                sector.reshape(expected_dim, d ** (n - 1), d), full_matrices=False
             )
-            left_mat = np.concatenate(
-                [u[a][:, coeffs[a] > 1e-8] for a in range(expected_dim)], axis=1
-            )
-            down = orthogonal_projector(remove_largest(t), d)
-            worst_conf = max(
-                worst_conf,
-                _column_norms(down._apply_raw(left_mat) - left_mat).max(),
-            )
+            left = u.transpose(1, 0, 2)[:, coeffs > 1e-8]  # kept columns, vector by vector
+            del sector, u
+            off = orthogonal_projector(remove_largest(t), d)._apply_raw(left) - left
+            worst_conf = _column_norms(off).max(initial=worst_conf)
+            del left, off
             spectra[t] = np.sort(coeffs, axis=1)
         by_box: dict = {}
         for t in tableaux:

@@ -1,6 +1,5 @@
 import hashlib
 import json
-import re
 import tracemalloc
 from pathlib import Path
 
@@ -12,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from schurweyl.cli import main
 from schurweyl.orthogonal_form import IrrepMatrix, permutation_matrix
 from schurweyl.spectral import MaximizeConfig, max_lambda1_over_subspace
-from schurweyl.tensor_space import OperatorExpr, block_basis
+from schurweyl.tensor_space import OperatorExpr, _block_weights
 from schurweyl.verification import CheckResult, run_verification
 from schurweyl.young import YoungDiagram, enumerate_standard_tableaux, removable_boxes
 
@@ -23,6 +22,12 @@ BENCHMARK_VERIFY_OPS = {
     "verify-322-d3": ("3,2,2", "3"),
     "verify-2211-d4": ("2,2,1,1", "4"),
     "verify-221-d5": ("2,2,1", "5"),
+}
+# the benchmark's maximize ops, each run at seed 0
+BENCHMARK_MAXIMIZE_OPS = {
+    "maximize-322-d3": ("--partition", "3,2,2", "--d", "3"),
+    "maximize-2211-d4": ("--partition", "2,2,1,1", "--d", "4"),
+    "maximize-211-d6-cut2": ("--partition", "2,1,1", "--d", "6", "--cut", "2"),
 }
 
 
@@ -187,12 +192,14 @@ class TestVerify:
 
     def test_cross_check_sees_inverse_action(self, runner, monkeypatch):
         # seed 0 draws a sigma whose inverse acts alike on (3,2,1)/d3, and
-        # the transpositions are involutions: only the N-cycle tells
-        import schurweyl.verification as verification
+        # the transpositions are involutions: only the N-cycle tells.  The
+        # row maps of the weight blocks, and so the cross-check, read the
+        # action through tensor_space.permute_matrix_columns
+        import schurweyl.tensor_space as tensor_space
 
-        permute = verification.permute_matrix_columns
+        permute = tensor_space.permute_matrix_columns
         monkeypatch.setattr(
-            verification, "permute_matrix_columns",
+            tensor_space, "permute_matrix_columns",
             lambda sigma, mat, d, n: permute(sigma.inverse(), mat, d, n),
         )
         assert verify_check(runner, "3,2,1", 3, "orthogonal-form cross-check")["passed"] is False
@@ -212,15 +219,9 @@ class TestVerify:
         check = verify_check(runner, partition, d, "orthogonal-form cross-check")
         assert check["passed"] is False
 
-    def test_cap_exceeded_is_usage_error(self, runner, monkeypatch):
-        monkeypatch.setenv("SCHURWEYL_CAP", "4")
-        result = runner.invoke(main, ["verify", "--partition", "2,1", "--d", "2"])
-        assert result.exit_code == 2
-        assert "cap" in result.output
-
     @pytest.mark.slow
     def test_large_case_within_cap(self, runner):
-        # d**n = 4**7 = 16384 sits well under the default cap
+        # d**n = 4**7 = 16384 amplitudes per vector, about 35 MiB at the peak
         result = runner.invoke(
             main,
             ["verify", "--partition", "2,2,2,1", "--d", "4", "--samples", "2"],
@@ -290,6 +291,31 @@ class TestMaximize:
         assert [c["name"] for c in payload["checks"]] == ["ascent converged"]
         assert payload["passed"] is True
 
+    def test_one_dimensional_factors_keep_every_box(self, runner):
+        # at d = 1 every N has one row; the maximizer still has a factor per box
+        result = runner.invoke(
+            main, ["maximize", "--partition", "3", "--d", "1", "--cut", "1", "--format", "json"]
+        )
+        assert result.exit_code == 0, result.output
+        maximizer = json.loads(result.output)["report"]["maximizer"]
+        assert (maximizer["d"], maximizer["n"]) == (1, 3)
+
+    @pytest.mark.parametrize("op", list(BENCHMARK_MAXIMIZE_OPS))
+    def test_benchmark_op_matches_record(self, runner, op):
+        # every maximize op of the benchmark, run as the benchmark runs it,
+        # passes with the recorded bound and, at the mid cut, maximum
+        record = json.loads(EXPECTED.read_text())[op]
+        result = runner.invoke(
+            main, ["maximize", *BENCHMARK_MAXIMIZE_OPS[op], "--seed", "0", "--format", "json"]
+        )
+        assert result.exit_code == 0, result.output
+        payload = json.loads(result.output)
+        assert payload["exact_bound"] == record["exact_bound"]
+        if "best_lambda1_sq" in record:
+            assert payload["best_lambda1_sq"] == pytest.approx(
+                record["best_lambda1_sq"], rel=0, abs=1e-8
+            )
+
     def test_unconverged_ascent_exits_one(self, runner):
         result = runner.invoke(
             main, ["maximize", "--partition", "2,1", "--max-iterations", "1"]
@@ -321,16 +347,42 @@ class TestSweep:
         assert runner.invoke(main, ["sweep", "--max-n", "1"]).exit_code == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["verify", "--partition", "3,2,1", "--d", "3", "--samples", "2"],
+    ["maximize", "--partition", "2,2,1", "--d", "3", "--restarts", "2"],
+], ids=["verify", "maximize"])
+def test_runs_never_build_the_dense_block(runner, monkeypatch, args):
+    # both commands work on the weight blocks; block_basis is only their
+    # dense scatter for library callers
+    import sys
+
+    def refuse(*args):
+        raise AssertionError("dense block built")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("schurweyl") and hasattr(module, "block_basis"):
+            monkeypatch.setattr(module, "block_basis", refuse)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+
+
 class TestMemoryEstimate:
-    # dense bytes: 16 * d**N per vector; the (2,1) block at d = 2 has
-    # f * dim V = 2 * 2 columns of 8 amplitudes
+    # a vector is 16 * d**N bytes; at (2,1), d = 2 one has 8 amplitudes,
+    # a sector dim V = 2 vectors, and the weights {0,0,1} and {0,1,1} carry
+    # one filling each: two weight blocks of 3 rows and f = 2 columns
     @pytest.mark.parametrize("args, need", [
-        (["maximize", "--partition", "2,1", "--d", "2"], 16 * 8 * 4),
+        # maximize: the seed's three sectors outweigh the blocks and a copy
+        # of one, 16 * (2 + 1) * 3 * 2
+        (["maximize", "--partition", "2,1", "--d", "2"], 16 * 8 * 3 * 2),
         # verify: its sample checks, 4 * 2 pairs * 2 tableaux + 5 * 5 samples,
-        # outweigh the block plus four sectors, (2 + 4) * 2
+        # outweigh the blocks plus three sectors, 16 * 2 * 3 * 2 + 3 * 16 * 8 * 2
         (["verify", "--partition", "2,1", "--d", "2"], 16 * 8 * (4 * 2 * 2 + 5 * 5)),
-        # below the cap (4**9 <= 2**20), but its block alone is 14.1 GB
-        (["maximize", "--partition", "3,3,2,1", "--d", "4"], 16 * 4**9 * 3360),
+        # its dense block would be 14.1 GB; its weight blocks hold
+        # f * 120960 amplitudes, f = 168, and the largest block, of the
+        # weight {0,0,0,1,1,2,2,3,3} with 2 fillings, 7560 rows and
+        # 168 * 2 columns
+        (["maximize", "--partition", "3,3,2,1", "--d", "4"],
+         16 * 168 * 120960 + 16 * 7560 * 336),
     ], ids=["maximize", "verify", "maximize-3321-d4"])
     def test_run_over_physical_memory_is_usage_error(self, runner, monkeypatch, args, need):
         import schurweyl.cli as cli
@@ -353,26 +405,33 @@ class TestMemoryEstimate:
         ("verify", "3,2,1", 4),
         ("verify", "2,2,2,1", 4),
         ("verify", "2,2,1", 5),
-    ], ids=["maximize", "verify", "verify-2221-d4", "verify-221-d5"])
+        ("maximize", "4,2,1", 4),
+        ("maximize", "4,3,2", 3),
+    ], ids=["maximize", "verify", "verify-2221-d4", "verify-221-d5",
+            "maximize-421-d4", "maximize-432-d3"])
     def test_estimate_tracks_traced_peak(self, runner, monkeypatch, command, partition, d):
         # the estimate against the memory the run takes, as tracemalloc
-        # sees numpy's allocations.  (3,2,1) at d = 4 is a block of 64 MiB;
-        # (2,2,2,1) at d = 4 has dim V = 4, so its sample checks set the peak
+        # sees numpy's allocations.  At (3,2,1), d = 4 and (4,2,1), d = 4
+        # the seed's projection sets the peak, at (4,3,2), d = 3 (f = 168,
+        # dim V = 8) the weight blocks do; (2,2,2,1) at d = 4 has dim V = 4,
+        # so its sample checks set the peak
         import schurweyl.cli as cli
 
-        monkeypatch.setattr(cli, "_physical_memory", lambda: 0)
+        diagram = YoungDiagram.from_string(partition)
+        need = cli._memory_need(diagram, d, 2 if command == "verify" else None)
+        monkeypatch.setattr(cli, "_physical_memory", lambda: need - 1)
         args = [command, "--partition", partition, "--d", str(d)]
         if command == "verify":
             args += ["--samples", "2"]
         result = runner.invoke(main, args)
         assert result.exit_code == 2, result.output
-        need = int(re.search(r"about (\d+) bytes", result.output).group(1))
-        diagram = YoungDiagram.from_string(partition)
+        assert f"about {need} bytes" in result.output
         tracemalloc.start()
         try:
             if command == "maximize":
+                # as the CLI runs it: the blocks go to the ascent, no dense block
                 max_lambda1_over_subspace(
-                    block_basis(diagram, d), d, diagram.n_boxes - 1,
+                    _block_weights(diagram, d), d, diagram.n_boxes - 1,
                     MaximizeConfig(restarts=1, seed=0),
                 )
             else:
@@ -383,32 +442,28 @@ class TestMemoryEstimate:
         assert 0.8 * need <= peak <= 1.25 * need, peak / need
 
 
-@pytest.mark.parametrize(
-    "args, cap",
-    [
-        (["maximize", "--partition", "2,1", "--max-iterations", "0"], None),
-        (["maximize", "--partition", "2,1", "--max-iterations", "-3"], None),
-        (["maximize", "--partition", "2,1", "--tolerance", "nan"], None),
-        (["maximize", "--partition", "2,1", "--tolerance", "inf"], None),
-        (["maximize", "--partition", "2,1", "--tolerance", "0"], None),
-        (["maximize", "--partition", "2,1", "--restarts", "0"], None),
-        (["maximize", "--partition", "2,1", "--seed", "-1"], None),
-        (["maximize", "--partition", "2,1", "--d", "0"], None),
-        (["maximize", "--partition", "2,1"], "abc"),
-        (["maximize", "--partition", "2,1"], "0"),
-        (["verify", "--partition", "2,1", "--samples", "0"], None),
-        (["verify", "--partition", "2,1", "--samples", "-1"], None),
-        (["verify", "--partition", "2,1", "--seed", "-1"], None),
-        (["verify", "--partition", "2,1", "--d", "0"], None),
-        (["verify", "--partition", "2,1"], "abc"),
-        (["verify", "--partition", "2,1"], "0"),
-        (["tableaux", "--partition", "2,1", "--d", "0"], None),
-        (["sweep", "--max-n", "3", "--max-d", "0"], None),
-    ],
-)
-def test_bad_option_is_usage_error(runner, monkeypatch, args, cap):
-    if cap is not None:
-        monkeypatch.setenv("SCHURWEYL_CAP", cap)
+# Ids kept from when each case also named a SCHURWEYL_CAP value, so every
+# case keeps its test name.
+BAD_OPTIONS = {
+    "args0-None": ["maximize", "--partition", "2,1", "--max-iterations", "0"],
+    "args1-None": ["maximize", "--partition", "2,1", "--max-iterations", "-3"],
+    "args2-None": ["maximize", "--partition", "2,1", "--tolerance", "nan"],
+    "args3-None": ["maximize", "--partition", "2,1", "--tolerance", "inf"],
+    "args4-None": ["maximize", "--partition", "2,1", "--tolerance", "0"],
+    "args5-None": ["maximize", "--partition", "2,1", "--restarts", "0"],
+    "args6-None": ["maximize", "--partition", "2,1", "--seed", "-1"],
+    "args7-None": ["maximize", "--partition", "2,1", "--d", "0"],
+    "args10-None": ["verify", "--partition", "2,1", "--samples", "0"],
+    "args11-None": ["verify", "--partition", "2,1", "--samples", "-1"],
+    "args12-None": ["verify", "--partition", "2,1", "--seed", "-1"],
+    "args13-None": ["verify", "--partition", "2,1", "--d", "0"],
+    "args16-None": ["tableaux", "--partition", "2,1", "--d", "0"],
+    "args17-None": ["sweep", "--max-n", "3", "--max-d", "0"],
+}
+
+
+@pytest.mark.parametrize("args", list(BAD_OPTIONS.values()), ids=list(BAD_OPTIONS))
+def test_bad_option_is_usage_error(runner, args):
     result = runner.invoke(main, args)
     assert result.exit_code == 2, result.output
     assert type(result.exception) is SystemExit

@@ -5,7 +5,6 @@ import pytest
 
 from schurweyl.spectral import (
     MaximizeConfig,
-    _weight_projector,
     entanglement_entropy,
     max_lambda1_over_subspace,
     reduced_density_matrix,
@@ -16,6 +15,8 @@ from schurweyl.orthogonal_form import Permutation
 from schurweyl.special_states import OrthonormalFrame, optimizer_state, slater
 from schurweyl.tensor_space import (
     TensorState,
+    _block_weights,
+    _weight_projector,
     apply_local_unitary,
     block_basis,
     permute_matrix_columns,
@@ -364,11 +365,14 @@ class TestFixedPoint:
             verify_fixed_point(other, basis, 3)
 
 
+WEIGHT_SHAPES = pytest.mark.parametrize(
+    "rows, d", [((2, 1), 2), ((3, 2, 1), 3), ((2, 2, 1, 1), 4), ((2, 1, 1), 6)],
+    ids=["21-d2", "321-d3", "2211-d4", "211-d6"],
+)
+
+
 class TestWeightProjector:
-    @pytest.mark.parametrize(
-        "rows, d", [((2, 1), 2), ((3, 2, 1), 3), ((2, 2, 1, 1), 4), ((2, 1, 1), 6)],
-        ids=["21-d2", "321-d3", "2211-d4", "211-d6"],
-    )
+    @WEIGHT_SHAPES
     def test_matches_dense_projection(self, rows, d):
         dg = YoungDiagram(rows)
         mat = block_basis(dg, d)
@@ -379,6 +383,29 @@ class TestWeightProjector:
         np.testing.assert_allclose(
             project(batch[:, 0]), mat @ (mat.conj().T @ batch[:, 0]), rtol=0, atol=1e-13
         )
+
+    @WEIGHT_SHAPES
+    def test_dense_block_round_trip(self, rows, d):
+        # the weight blocks read back out of their dense scatter are the
+        # built ones: same rows, same columns, the same numbers
+        dg = YoungDiagram(rows)
+        built = _block_weights(dg, d)
+        parsed = _weight_projector(block_basis(dg, d), d, dg.n_boxes)
+        assert (parsed.d, parsed.n) == (built.d, built.n) == (d, dg.n_boxes)
+        np.testing.assert_array_equal(parsed.gather, built.gather)
+        assert len(parsed.stacks) == len(built.stacks)
+        for (part, blocks, cols), (b_part, b_blocks, b_cols) in zip(parsed.stacks, built.stacks):
+            assert part == b_part
+            np.testing.assert_array_equal(cols, b_cols)
+            assert blocks.shape == b_blocks.shape and (blocks == b_blocks).all()
+
+    def test_ascent_takes_the_blocks(self):
+        # the blocks carry N, so at d = 1 the maximizer keeps every factor
+        dg = YoungDiagram((3,))
+        report = max_lambda1_over_subspace(_block_weights(dg, 1), 1, 1, MaximizeConfig(restarts=1))
+        assert (report.maximizer.local_dim, report.maximizer.n_factors) == (1, 3)
+        with pytest.raises(ValueError, match="local dimension 1, not 2"):
+            max_lambda1_over_subspace(_block_weights(dg, 1), 2, 1)
 
     def test_mixed_weight_columns_are_rejected(self):
         # orthonormal: (|00> + |11>)/sqrt 2 mixes the weights {0,0} and {1,1},

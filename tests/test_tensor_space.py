@@ -9,7 +9,6 @@ import pytest
 
 from schurweyl.orthogonal_form import Permutation
 from schurweyl.tensor_space import (
-    DimensionCapError,
     OperatorExpr,
     TensorState,
     _rotated,
@@ -19,7 +18,6 @@ from schurweyl.tensor_space import (
     block_basis,
     closed_form_projector,
     column_antisymmetrizer,
-    flat_dim_cap,
     orthogonal_projector,
     permute_matrix_columns,
     random_state,
@@ -62,16 +60,6 @@ class TestTensorState:
             TensorState(2, 2, np.zeros(3))
         with pytest.raises(ValueError):
             TensorState(2, 1, [np.inf, 0.0])
-
-    def test_cap(self, monkeypatch):
-        monkeypatch.setenv("SCHURWEYL_CAP", "8")
-        assert flat_dim_cap() == 8
-        TensorState(2, 3, np.zeros(8))
-        with pytest.raises(DimensionCapError):
-            TensorState(2, 4, np.zeros(16))
-        monkeypatch.setenv("SCHURWEYL_CAP", "junk")
-        with pytest.raises(ValueError):
-            flat_dim_cap()
 
     def test_amplitudes_frozen(self):
         psi = TensorState.unit(2, 2, 0)
@@ -561,23 +549,6 @@ class TestSubspaceBasis:
             for j, c in enumerate(basis):
                 expected = 1.0 if i == j else 0.0
                 assert abs(b.inner(c) - expected) < 1e-10
-
-    @pytest.mark.parametrize("build", [
-        lambda: subspace_basis(column_ordered_tableau(YoungDiagram((3, 2))), 3),
-        lambda: block_basis(YoungDiagram((3, 2)), 3),
-    ], ids=["subspace_basis", "block_basis"])
-    def test_cap_is_checked_before_the_seed(self, build, monkeypatch):
-        # 3**5 = 243 passes a cap of 100 only if the check is skipped; the
-        # seed's first step must then never run
-        import schurweyl.tensor_space as ts
-
-        def unreachable(*args):
-            raise AssertionError("seed computed before the cap check")
-
-        monkeypatch.setenv("SCHURWEYL_CAP", "100")
-        monkeypatch.setattr(ts, "enumerate_semistandard_tableaux", unreachable)
-        with pytest.raises(DimensionCapError, match="243"):
-            build()
 
     @pytest.mark.parametrize(
         "rows, d",
