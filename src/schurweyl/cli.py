@@ -64,39 +64,40 @@ def _physical_memory() -> float:
 
 def _memory_need(diagram: YoungDiagram, d: int, samples: int | None = None) -> int:
     """Bytes of arrays the run holds at its peak, in exact integers.  A
-    sector is ``16 * d**N * dim V`` bytes; a weight w of K_w semistandard
-    fillings is a block of multinomial(w) rows and ``f * K_w`` columns.  The
-    seed's batched projection holds three sectors (candidates, stage buffer,
-    result).  ``maximize`` then holds the blocks and, for its orthonormality
-    check, a copy of the largest.  ``verify`` (``samples`` given) peaks in
-    its sample checks, ``4 * min(2, samples) * f + 5 * samples`` vectors of
-    ``16 * d**N`` bytes, or in its block checks: the blocks and three times
-    the larger of a sector (the Schmidt loop's kept columns and two stage
-    buffers) and the largest stack of blocks of one shape (the cross-check's
-    permuted copy, its conjugate and their overlaps)."""
+    vector is ``16 * d**N`` bytes; a weight of K semistandard fillings is a
+    block of h rows (its multinomial coefficient) and w = f * K columns; a
+    row map takes 8 bytes per block row.  Beside the blocks a run holds 16
+    vectors (the ascent, or verify's block resolution and saturating states)
+    or more: maximize's N-1 row maps and Gram check in 256-row chunks, or
+    verify's row maps and cross-check (a permuted stack, three ``(w, w)``
+    arrays per block).  verify may peak in its sample checks instead."""
     n = diagram.n_boxes
     f = dim_symmetric_group_irrep(diagram)
-    sector = 16 * d**n * dim_unitary_group_irrep(diagram, d)
+    vector = 16 * d**n
     kostka = Counter(  # weight -> fillings
         tuple(sorted(x for row in filling for x in row))
         for filling in enumerate_semistandard_tableaux(diagram, d)
     )
-    shapes = Counter(  # (rows, columns) of a block -> blocks of that shape
-        (math.factorial(n) // math.prod(map(math.factorial, Counter(w).values())), f * k)
-        for w, k in kostka.items()
+    shapes = Counter(  # (h, w) of a block -> blocks of that shape
+        (math.factorial(n) // math.prod(map(math.factorial, Counter(weight).values())), f * k)
+        for weight, k in kostka.items()
     )
-    stacks = [16 * rows * cols * count for (rows, cols), count in shapes.items()]
+    blocks = sum(16 * h * w * k for (h, w), k in shapes.items())
+    rows = sum(h * k for (h, _), k in shapes.items())
     if samples is None:
-        return max(3 * sector, sum(stacks) + 16 * max((r * c for r, c in shapes), default=0))
-    sample_checks = 16 * d**n * (4 * min(2, samples) * f + 5 * samples)
-    return max(sample_checks, sum(stacks) + 3 * max([sector, *stacks]))
+        gram = max((16 * w * (2 * w + min(h, 256)) for h, w in shapes), default=0)
+        return blocks + max(8 * rows * (n - 1) + gram, 16 * vector)
+    maps = 8 * rows * (n + 1 + (n - 1) * (n - 2) // 2)
+    cross = max((16 * k * w * (h + 3 * w) for (h, w), k in shapes.items()), default=0)
+    sample_checks = vector * (4 * min(2, samples) * f + 5 * samples)
+    return max(sample_checks, blocks + maps + max(cross, 16 * vector))
 
 
 def _check_memory(diagram: YoungDiagram, d: int, samples: int | None = None) -> None:
     """Usage error, before any array exists, unless the run fits in physical
-    memory; the fillings are listed only once the seed's three sectors fit."""
+    memory; fillings are listed only once one amplitude per column fits."""
     memory = _physical_memory()
-    need = 48 * d**diagram.n_boxes * dim_unitary_group_irrep(diagram, d)
+    need = 16 * dim_symmetric_group_irrep(diagram) * dim_unitary_group_irrep(diagram, d)
     if need <= memory:
         need = _memory_need(diagram, d, samples)
     if need > memory:

@@ -11,7 +11,7 @@ materialized.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -242,33 +242,34 @@ class OperatorExpr:
                     raise ValueError("stage terms carry a sign of +1 or -1")
                 if sigma.size != n_factors:
                     raise ValueError("permutation size must match the operator space")
-        self._plans = tuple(
-            (float(scale), float(shift), tuple((sign, _axes_for(sigma)) for sign, sigma in terms))
-            for scale, shift, terms in reversed(self.stages)
-        )
+        self._axes = {sigma: _axes_for(sigma) for _, _, terms in self.stages for _, sigma in terms}
+
+    def _run(self, src: np.ndarray, read) -> np.ndarray:
+        # The stages, rightmost first; read(src, sigma) is the term sigma src.
+        for scale, shift, terms in reversed(self.stages):
+            acc = np.empty_like(src)
+            if shift:
+                np.multiply(src, float(shift), out=acc)
+            else:
+                acc.fill(0)
+            for sign, sigma in terms:
+                if sign > 0:
+                    acc += read(src, sigma)
+                else:
+                    acc -= read(src, sigma)
+            if scale != 1:
+                acc *= float(scale)
+            src = acc
+        return src
 
     def _apply_raw(self, arr: np.ndarray) -> np.ndarray:
-        # arr may be a single flat vector or a (d**n, batch) matrix.  Each
-        # term is read through a transposed view of the (d,)*n layout, so no
-        # permuted copy is made.
+        # arr is a flat vector or a (d**n, batch) matrix; each term is read
+        # through a transposed view of the (d,)*n layout, no permuted copy.
         batch = arr.shape[1:]
         trailing = tuple(range(self.n_factors, self.n_factors + len(batch)))
         src = arr.reshape((self.local_dim,) * self.n_factors + batch)
-        for scale, shift, terms in self._plans:
-            acc = np.empty_like(src)
-            if shift:
-                np.multiply(src, shift, out=acc)
-            else:
-                acc.fill(0)
-            for sign, axes in terms:
-                if sign > 0:
-                    acc += src.transpose(axes + trailing)
-                else:
-                    acc -= src.transpose(axes + trailing)
-            if scale != 1.0:
-                acc *= scale
-            src = acc
-        return src.reshape(arr.shape)
+        out = self._run(src, lambda src, sigma: src.transpose(self._axes[sigma] + trailing))
+        return out.reshape(arr.shape)
 
     def __call__(self, psi: TensorState) -> TensorState:
         if psi.local_dim != self.local_dim or psi.n_factors != self.n_factors:
@@ -438,63 +439,24 @@ def _weight_keys(d: int, n: int) -> np.ndarray:
     return keys
 
 
-def _weight_cells(
-    keys: np.ndarray, column_keys: np.ndarray
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """For every weight the columns carry, in increasing order, the pair of
-    ascending row indices and ascending column indices of that weight."""
-    weights = sorted(set(column_keys.tolist()))
-    members = []
-    for k in (keys, column_keys):
-        order = np.argsort(k, kind="stable")
-        lo = np.searchsorted(k[order], weights)
-        hi = np.searchsorted(k[order], weights, side="right")
-        members.append([order[a:b] for a, b in zip(lo, hi)])
-    return list(zip(*members))
-
-
-def subspace_basis(t: StandardTableau, d: int) -> np.ndarray:
-    """Orthonormal basis of the tableau's sector, as a ``(d**N, dim V)`` matrix
-    of weight vectors.
-
-    The candidates are the dim V product states indexed by the semistandard
-    fillings T of the shape with 0..d-1, with digit T(box) on factor t(box);
-    all of them are projected in one batch.  A permutation of factors keeps
-    the weight (the digit multiset) of every index, so each image is exactly
-    zero off the weight of its filling; the images of one weight are
-    orthonormalized by one QR on that weight's rows, written back in place,
-    and every column stays exactly zero off its weight.  Raises
-    ``ArithmeticError`` when the images fall short of full rank.  No column
-    when d is smaller than the number of rows.
-    """
-    n = t.n
-    if d < t.diagram.n_rows:
-        return np.zeros((d**n, 0), dtype=np.complex128)
-    fillings = enumerate_semistandard_tableaux(t.diagram, d)
-    place = np.array([d ** (n - v) for row in t.rows for v in row])
-    digits = np.array([[x for row in f for x in row] for f in fillings])
-    flat = digits @ place
-    images = np.zeros((d**n, len(fillings)), dtype=np.complex128)
-    images[flat, np.arange(len(fillings))] = 1.0
-    images = orthogonal_projector(t, d)._apply_raw(images)
+def _stacked(d: int, n: int, lead: np.ndarray, block) -> tuple[np.ndarray, list]:
+    """The ``gather`` and ``stacks`` of :class:`_WeightBlocks` for columns
+    on the weights of rows ``lead``: in increasing weight order, the block
+    of a weight's ascending rows r and columns c is ``block(r, c)``."""
     keys = _weight_keys(d, n)
-    diags = []
-    for rows, cols in _weight_cells(keys, keys[flat]):
-        cell = np.ix_(rows, cols)
-        q, r = np.linalg.qr(images[cell])
-        images[cell] = q
-        diags.append(np.diagonal(r))
-    # A dependent candidate leaves a diagonal entry of R at rounding level;
-    # genuine entries stay far above this (>= 0.016 for N <= 7, d <= 4).
-    diag = np.abs(np.concatenate(diags))
-    rank = int((diag > math.sqrt(np.finfo(float).eps) * diag.max()).sum())
-    expected = dim_unitary_group_irrep(t.diagram, d)
-    if rank != expected:
-        raise ArithmeticError(
-            f"found {rank} independent directions, expected {expected} "
-            f"for tableau {t} at d={d}"
-        )
-    return images
+    by_shape: dict[tuple[int, int], list[tuple[np.ndarray, np.ndarray]]] = {}
+    for w in sorted(set(keys[lead].tolist())):
+        r, c = np.flatnonzero(keys == w), np.flatnonzero(keys[lead] == w)
+        by_shape.setdefault((r.size, c.size), []).append((r, c))
+    stacks, stop = [], 0
+    for (height, width), cells in by_shape.items():
+        blocks = np.empty((len(cells), height, width), dtype=np.complex128)
+        for out, (r, c) in zip(blocks, cells):
+            out[...] = block(r, c)
+        start, stop = stop, stop + len(cells) * height
+        stacks.append((slice(start, stop), blocks, np.stack([c for _, c in cells])))
+    gather = np.concatenate([r for cells in by_shape.values() for r, _ in cells])
+    return gather, stacks
 
 
 # Tolerance for declaring a supplied basis orthonormal.
@@ -507,21 +469,24 @@ class _WeightBlocks:
     nonzero weight blocks, stacked by shape: ``gather`` lists the rows weight
     by weight, and each stack is ``(part, blocks, cols)``: its slice of
     ``gather``, its ``(count, h, w)`` blocks and their ``(count, w)``
-    ascending column indices.  Orthonormality is checked block by block on
-    construction.  Calling it projects a ``(d**n,)`` vector or ``(d**n,
-    batch)`` matrix onto the span: one gather, two stacked products per
-    shape and one scatter."""
+    ascending column indices, orthonormality checked on construction.
+    Calling it projects a ``(d**n,)`` vector or ``(d**n, batch)`` matrix
+    onto the span: one gather, two stacked products per shape, one scatter."""
 
     d: int
     n: int
     gather: np.ndarray
     stacks: list[tuple[slice, np.ndarray, np.ndarray]]
+    _maps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for _, blocks, _ in self.stacks:
-            for block in blocks:
-                if np.abs(block.conj().T @ block - np.eye(block.shape[1])).max() > BASIS_TOL:
-                    raise ValueError("basis is not orthonormal")
+        # Gram matrices summed over 256-row chunks: no copy of a whole block.
+        for block in (block for _, blocks, _ in self.stacks for block in blocks):
+            gram = -np.eye(block.shape[1], dtype=np.complex128)
+            for chunk in np.split(block, range(256, len(block), 256)):
+                gram += chunk.conj().T @ chunk
+            if np.abs(gram).max() > BASIS_TOL:
+                raise ValueError("basis is not orthonormal")
 
     @property
     def width(self) -> int:
@@ -539,54 +504,92 @@ class _WeightBlocks:
         out[self.gather] = result
         return out
 
-    def scatter(self, start: int, stop: int) -> np.ndarray:
-        """Basis vectors start..stop-1 as the columns of a dense C-ordered
-        ``(d**n, stop - start)`` matrix, exactly zero off their weights."""
-        out = np.zeros((self.d**self.n, stop - start), dtype=np.complex128)
+    def scatter(self) -> np.ndarray:
+        """The basis as a dense C-ordered ``(d**n, width)`` matrix."""
+        out = np.zeros((self.d**self.n, self.width), dtype=np.complex128)
         for part, blocks, cols in self.stacks:
-            b, j = np.nonzero((cols >= start) & (cols < stop))
-            rows = self.gather[part].reshape(blocks.shape[:2])[b]
-            out[rows.T, cols[b, j] - start] = blocks[b, :, j].T
+            rows = self.gather[part].reshape(blocks.shape[:2])
+            out[rows[:, :, None], cols[:, None, :]] = blocks
         return out
 
     def row_map(self, sigma: Permutation) -> list[np.ndarray]:
         """Per stack, the row of its ``(count * h)`` stacked rows that each
-        row of ``sigma v`` reads in ``v``: a permutation keeps weights."""
-        where = np.empty(self.d**self.n, dtype=np.int64)  # each row's position in gather
-        where[self.gather] = np.arange(self.gather.size)
-        local = permute_matrix_columns(sigma, where, self.d, self.n)[self.gather]
-        return [local[part] - part.start for part, _, _ in self.stacks]
+        row of ``sigma v`` reads in ``v``: a permutation keeps weights.  A
+        sigma of m < n points acts on the first m factors.  Cached."""
+        if sigma not in self._maps:
+            full = Permutation(sigma.images + tuple(range(sigma.size + 1, self.n + 1)))
+            where = np.empty(self.d**self.n, dtype=np.int64)  # each row's position in gather
+            where[self.gather] = np.arange(self.gather.size)
+            local = permute_matrix_columns(full, where, self.d, self.n)[self.gather]
+            self._maps[sigma] = [local[part] - part.start for part, _, _ in self.stacks]
+        return self._maps[sigma]
+
+    def apply(self, op: OperatorExpr, arrays: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """``op`` on m <= n factors, tensored with the identity on the rest, on
+        one ``(count, h, k)`` array per stack, rows as in its blocks: per
+        amplitude the dense stages' arithmetic, each term one row gather."""
+        out = []
+        for i, arr in enumerate(arrays):
+            rows = op._run(arr.reshape(-1, arr.shape[2]), lambda src, s: src[self.row_map(s)[i]])
+            out.append(rows.reshape(arr.shape))
+        return out
 
 
 def _weight_projector(mat: np.ndarray, d: int, n: int) -> _WeightBlocks:
-    """The weight blocks of the columns of a ``(d**n, dim)`` matrix, each a
-    weight vector: zero off the rows of the digit multiset its first nonzero
-    entry names.  Each weight's nonzero block is copied out of ``mat`` and
-    stacked with those of its shape; no reference to ``mat`` is kept."""
+    """The weight blocks of the columns of a ``(d**n, dim)`` matrix that a
+    library caller passes in, each a weight vector: zero off the rows of the
+    digit multiset its first nonzero entry names.  Each weight's nonzero
+    block is copied out of ``mat``; no reference to ``mat`` is kept."""
     cols = mat.shape[1]
     if cols == 0:
         raise ValueError("empty basis")
-    keys = _weight_keys(d, n)
     first = np.argmax(mat != 0, axis=0)
     if not mat[first, np.arange(cols)].all():
         raise ValueError("basis is not orthonormal")
-    by_shape: dict[tuple[int, int], list[tuple[np.ndarray, np.ndarray]]] = {}
-    for r, c in _weight_cells(keys, keys[first]):
-        by_shape.setdefault((r.size, c.size), []).append((r, c))
-    # One stack of blocks per shape, filled a block at a time; part slices
-    # the stack's rows out of gather.
-    stacks = []
-    stop = 0
-    for (height, width), cells in by_shape.items():
-        blocks = np.empty((len(cells), height, width), dtype=np.complex128)
-        for block, (r, c) in zip(blocks, cells):
-            block[...] = mat[np.ix_(r, c)]
-        start, stop = stop, stop + len(cells) * height
-        stacks.append((slice(start, stop), blocks, np.stack([c for _, c in cells])))
+    gather, stacks = _stacked(d, n, first, lambda r, c: mat[np.ix_(r, c)])
     if sum(np.count_nonzero(blocks) for _, blocks, _ in stacks) != np.count_nonzero(mat):
         raise ValueError("basis columns are not weight vectors")
-    gather = np.concatenate([r for cells in by_shape.values() for r, _ in cells])
     return _WeightBlocks(d, n, gather, stacks)
+
+
+def _seed_blocks(t: StandardTableau, d: int) -> _WeightBlocks:
+    """Orthonormal basis of the tableau's sector as its weight blocks.  The
+    candidates are the product states of the semistandard fillings T of the
+    shape with 0..d-1, digit T(box) on factor t(box), as unit weight blocks;
+    column j is filling j's.  A permutation of factors keeps each index's
+    weight (digit multiset), so the projector acts block by block, and one
+    QR per block orthonormalizes the images.  Raises ``ArithmeticError``
+    below full rank, ``ValueError`` when d is below the number of rows."""
+    n = t.n
+    if d < t.diagram.n_rows:
+        raise ValueError("empty basis")
+    fillings = enumerate_semistandard_tableaux(t.diagram, d)
+    place = np.array([d ** (n - v) for row in t.rows for v in row])
+    flat = np.array([[x for row in f for x in row] for f in fillings]) @ place
+    gather, stacks = _stacked(d, n, flat, lambda r, c: r[:, None] == flat[c])
+    candidates = _WeightBlocks(d, n, gather, stacks)
+    images = candidates.apply(orthogonal_projector(t, d), [blocks for _, blocks, _ in stacks])
+    qr = [np.linalg.qr(x) for x in images]
+    # A dependent candidate leaves a diagonal entry of R at rounding level;
+    # genuine entries stay far above this (>= 0.016 for N <= 7, d <= 4).
+    diag = np.abs(np.concatenate([np.diagonal(r, axis1=1, axis2=2).ravel() for _, r in qr]))
+    rank = int((diag > math.sqrt(np.finfo(float).eps) * diag.max()).sum())
+    expected = dim_unitary_group_irrep(t.diagram, d)
+    if rank != expected:
+        raise ArithmeticError(
+            f"found {rank} independent directions, expected {expected} "
+            f"for tableau {t} at d={d}"
+        )
+    return _WeightBlocks(d, n, gather, [(p, q, c) for (p, _, c), (q, _) in zip(stacks, qr)])
+
+
+def subspace_basis(t: StandardTableau, d: int) -> np.ndarray:
+    """Orthonormal basis of the tableau's sector, the ``(d**N, dim V)`` dense
+    scatter of :func:`_seed_blocks`: each column is exactly zero off its
+    weight.  No column when d is below the number of rows."""
+    if d < t.diagram.n_rows:
+        return np.zeros((d**t.n, 0), dtype=np.complex128)
+    return _seed_blocks(t, d).scatter()
 
 
 def _block_weights(diagram: YoungDiagram, d: int) -> _WeightBlocks:
@@ -594,7 +597,7 @@ def _block_weights(diagram: YoungDiagram, d: int) -> _WeightBlocks:
     (``ValueError`` when d is smaller than the number of rows).  Column
     ``i * dim V + a`` is vector a of the i-th tableau's sector, the same
     unitary-group vector in every sector.  The first tableau's blocks are
-    those of :func:`subspace_basis`; each other tableau s = (k k+1) t is
+    those of :func:`_seed_blocks`; each other tableau s = (k k+1) t is
     reached across a swap with axial distance |r| >= 2, where Young's
     orthogonal form reads sigma_k v_t = v_t / r + sqrt(1 - 1/r^2) v_s: one
     row gather and one axpy per swap and stack, no projector.  The positive
@@ -602,7 +605,7 @@ def _block_weights(diagram: YoungDiagram, d: int) -> _WeightBlocks:
     n = diagram.n_boxes
     tableaux = enumerate_standard_tableaux(diagram)
     f = len(tableaux)
-    seed = _weight_projector(subspace_basis(tableaux[0], d), d, n)
+    seed = _seed_blocks(tableaux[0], d)
     gather, dim_v = seed.gather, seed.width
     swaps = {k: seed.row_map(Permutation.transposition(n, k, k + 1)) for k in range(1, n)}
     stacks = []
@@ -644,5 +647,4 @@ def block_basis(diagram: YoungDiagram, d: int) -> np.ndarray:
     when d is smaller than the number of rows."""
     if d < diagram.n_rows:
         return np.zeros((d**diagram.n_boxes, 0), dtype=np.complex128)
-    blocks = _block_weights(diagram, d)
-    return blocks.scatter(0, blocks.width)
+    return _block_weights(diagram, d).scatter()

@@ -5,8 +5,9 @@ Each check reports its worst residual; the CLI turns the list into an exit
 status and a table.  The five sample checks (idempotence, hermiticity,
 pairwise orthogonality, closed-form agreement, local-unitary covariance)
 share one loop over the tableaux with two batched projector calls per
-tableau, so the pairs cost no call of their own; the block checks follow on
-the block's weight blocks (never dense), after the samples are freed.
+tableau, so the pairs cost no call of their own.  The block checks follow on
+the block's weight blocks (never dense), after the samples are freed; the
+Schmidt checks read each vector's last-digit slices, with no SVD.
 """
 
 from __future__ import annotations
@@ -53,9 +54,15 @@ def _haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _column_norms(mat: np.ndarray) -> np.ndarray:
-    # Read through the real and imaginary views: no temporary of mat's size.
-    re, im = mat.real, mat.imag
-    return np.sqrt(np.einsum("ij,ij->j", re, re) + np.einsum("ij,ij->j", im, im))
+    # Column norms of a matrix or a stack of them, read through the real and
+    # imaginary views: no temporary of mat's size.
+    return np.sqrt(sum(np.einsum("...ij,...ij->...j", x, x) for x in (mat.real, mat.imag)))
+
+
+def _slice_norms(rows: np.ndarray, stack: np.ndarray, d: int) -> np.ndarray:
+    # (count, d, k): the norm of each column's slice of rows with last digit j.
+    onehot = rows.reshape(stack.shape[:2])[:, None] % d == np.arange(d)[:, None]
+    return np.sqrt(onehot @ (np.square(stack.real) + np.square(stack.imag)))
 
 
 def run_verification(
@@ -153,39 +160,39 @@ def run_verification(
         m = permutation_matrix(diagram, sigma).entries
         for (_, blocks, cols), rows in zip(project.stacks, project.row_map(sigma)):
             moved = blocks.reshape(-1, blocks.shape[2])[rows].reshape(blocks.shape)
-            worst_cross = max(worst_cross, np.abs(np.linalg.norm(moved, axis=1) - 1.0).max())
+            worst_cross = max(worst_cross, np.abs(_column_norms(moved) - 1.0).max())
             ti, a = np.divmod(cols, expected_dim)
             expected = m[ti[:, None, :], ti[:, :, None]] * (a[:, :, None] == a[:, None, :])
-            overlaps = moved.conj().transpose(0, 2, 1) @ blocks
+            overlaps = np.conjugate(moved, out=moved).transpose(0, 2, 1) @ blocks
             worst_cross = max(worst_cross, np.abs(overlaps - expected).max())
             del moved, overlaps, expected
     record("orthogonal-form cross-check", worst_cross, 1e-9, f"{len(sigmas)} permutations")
 
-    # Schmidt data across the cut after factor N-1, from one batched SVD per
-    # sector, scattered dense; only the singular values are kept across sectors.
+    # Schmidt data across the cut after factor N-1.  Words of one weight that
+    # agree on their first N-1 digits agree on the last, so a weight vector's
+    # Schmidt coefficients are the norms of its last-digit slices, its left
+    # vectors u the slices over their norms, and ||P_t' u - u|| the slice
+    # norm of (P_t' x 1) v - v over that of v.  Each block of a stack holds
+    # the sectors' columns in the same places.
     worst_conf = 0.0
     worst_spec = 0.0
     if n >= 2:
-        spectra = {}
+        spectra = np.empty((width, d))
+        for part, blocks, cols in project.stacks:
+            spectra[cols] = _slice_norms(project.gather[part], blocks, d).transpose(0, 2, 1)
+        spectra = np.sort(spectra, axis=1).reshape(len(tableaux), expected_dim, d)
+        first: dict = {}
         for ti, t in enumerate(tableaux):
-            sector = project.scatter(ti * expected_dim, (ti + 1) * expected_dim).T
-            u, coeffs, _ = np.linalg.svd(
-                sector.reshape(expected_dim, d ** (n - 1), d), full_matrices=False
-            )
-            left = u.transpose(1, 0, 2)[:, coeffs > 1e-8]  # kept columns, vector by vector
-            del sector, u
-            off = orthogonal_projector(remove_largest(t), d)._apply_raw(left) - left
-            worst_conf = _column_norms(off).max(initial=worst_conf)
-            del left, off
-            spectra[t] = np.sort(coeffs, axis=1)
-        by_box: dict = {}
-        for t in tableaux:
-            by_box.setdefault(t.position(n), []).append(t)
-        for group in by_box.values():
-            for other in group[1:]:
-                worst_spec = max(
-                    worst_spec, float(np.abs(spectra[other] - spectra[group[0]]).max())
-                )
+            ref = first.setdefault(t.position(n), ti)
+            worst_spec = max(worst_spec, float(np.abs(spectra[ti] - spectra[ref]).max()))
+            sector = [b[:, :, cols[0] // expected_dim == ti] for _, b, cols in project.stacks]
+            moved = project.apply(orthogonal_projector(remove_largest(t), d), sector)
+            for (part, _, _), v, pv in zip(project.stacks, sector, moved):
+                coeffs = _slice_norms(project.gather[part], v, d)
+                kept = coeffs > 1e-8
+                off = _slice_norms(project.gather[part], pv - v, d)[kept] / coeffs[kept]
+                worst_conf = off.max(initial=worst_conf)
+            del sector, moved
     record("Schmidt confinement", worst_conf, 1e-8)
     record("shared-corner Schmidt spectra", worst_spec, 1e-8)
 

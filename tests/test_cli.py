@@ -173,10 +173,10 @@ class TestVerify:
         assert verify_check(runner, "2,2,1", 3, name)["passed"] is False
 
     def test_projector_calls_within_budget(self, monkeypatch):
-        # two calls per tableau for the sample checks, one per tableau for
-        # the block resolution and for the Schmidt confinement, two per
-        # corner for the saturating states, and at most four more: the two
-        # closed forms, the seed of the block and the coherent state
+        # two dense calls per tableau for the sample checks, one per tableau
+        # for the block resolution, two per corner for the saturating
+        # states, and three more: the two closed forms and the coherent
+        # state.  The seed and the Schmidt confinement act on weight blocks
         calls = []
         apply_raw = OperatorExpr._apply_raw
 
@@ -188,7 +188,7 @@ class TestVerify:
         diagram = YoungDiagram((3, 2, 2))
         run_verification(diagram, 3, samples=2)
         f = len(enumerate_standard_tableaux(diagram))
-        assert len(calls) <= 4 * f + 2 * len(removable_boxes(diagram)) + 4
+        assert len(calls) <= 3 * f + 2 * len(removable_boxes(diagram)) + 3
 
     def test_cross_check_sees_inverse_action(self, runner, monkeypatch):
         # seed 0 draws a sigma whose inverse acts alike on (3,2,1)/d3, and
@@ -217,6 +217,42 @@ class TestVerify:
 
         monkeypatch.setattr(verification, "permutation_matrix", flipped)
         check = verify_check(runner, partition, d, "orthogonal-form cross-check")
+        assert check["passed"] is False
+
+    def test_confinement_sees_wrong_sector(self, runner, monkeypatch):
+        # each t is checked against the neighbour of remove_largest(t) among
+        # the tableaux of its shape, whose sector is orthogonal to the right
+        import schurweyl.verification as verification
+
+        remove = verification.remove_largest
+
+        def neighbour(t):
+            shape = enumerate_standard_tableaux(remove(t).diagram)
+            return shape[(shape.index(remove(t)) + 1) % len(shape)]
+
+        monkeypatch.setattr(verification, "remove_largest", neighbour)
+        check = verify_check(runner, "2,2,1", 3, "Schmidt confinement")
+        assert check["passed"] is False
+        assert check["residual"] == pytest.approx(1.0)
+
+    def test_spectra_see_swapped_columns(self, runner, monkeypatch):
+        # two columns of the last sector swap places in one weight block:
+        # those two vectors of the last sector trade Schmidt spectra
+        import schurweyl.verification as verification
+
+        def swapped(diagram, d):
+            project = _block_weights(diagram, d)
+            last = len(enumerate_standard_tableaux(diagram)) - 1
+            dim = project.width // (last + 1)
+            for _, blocks, cols in project.stacks:
+                j = np.flatnonzero(cols[0] // dim == last)
+                if j.size >= 2:
+                    blocks[0][:, j[:2]] = blocks[0][:, j[1::-1]]
+                    return project
+            raise AssertionError("no weight block with two columns of the last sector")
+
+        monkeypatch.setattr(verification, "_block_weights", swapped)
+        check = verify_check(runner, "3,2,1", 3, "shared-corner Schmidt spectra")
         assert check["passed"] is False
 
     @pytest.mark.slow
@@ -371,18 +407,17 @@ class TestMemoryEstimate:
     # a sector dim V = 2 vectors, and the weights {0,0,1} and {0,1,1} carry
     # one filling each: two weight blocks of 3 rows and f = 2 columns
     @pytest.mark.parametrize("args, need", [
-        # maximize: the seed's three sectors outweigh the blocks and a copy
-        # of one, 16 * (2 + 1) * 3 * 2
-        (["maximize", "--partition", "2,1", "--d", "2"], 16 * 8 * 3 * 2),
+        # maximize: the blocks and the ascent's 16 vectors, which outweigh
+        # the build's two row maps of 6 rows and the Gram check of a block
+        (["maximize", "--partition", "2,1", "--d", "2"], 16 * 3 * 2 * 2 + 16 * 16 * 8),
         # verify: its sample checks, 4 * 2 pairs * 2 tableaux + 5 * 5 samples,
-        # outweigh the blocks plus three sectors, 16 * 2 * 3 * 2 + 3 * 16 * 8 * 2
+        # outweigh the blocks, 5 row maps and 16 vectors,
+        # 16 * 3 * 2 * 2 + 8 * 6 * 5 + 16 * 16 * 8
         (["verify", "--partition", "2,1", "--d", "2"], 16 * 8 * (4 * 2 * 2 + 5 * 5)),
         # its dense block would be 14.1 GB; its weight blocks hold
-        # f * 120960 amplitudes, f = 168, and the largest block, of the
-        # weight {0,0,0,1,1,2,2,3,3} with 2 fillings, 7560 rows and
-        # 168 * 2 columns
+        # f * 120960 amplitudes, f = 168, beside the ascent's 16 vectors
         (["maximize", "--partition", "3,3,2,1", "--d", "4"],
-         16 * 168 * 120960 + 16 * 7560 * 336),
+         16 * 168 * 120960 + 16 * 16 * 4**9),
     ], ids=["maximize", "verify", "maximize-3321-d4"])
     def test_run_over_physical_memory_is_usage_error(self, runner, monkeypatch, args, need):
         import schurweyl.cli as cli
@@ -411,10 +446,10 @@ class TestMemoryEstimate:
             "maximize-421-d4", "maximize-432-d3"])
     def test_estimate_tracks_traced_peak(self, runner, monkeypatch, command, partition, d):
         # the estimate against the memory the run takes, as tracemalloc
-        # sees numpy's allocations.  At (3,2,1), d = 4 and (4,2,1), d = 4
-        # the seed's projection sets the peak, at (4,3,2), d = 3 (f = 168,
-        # dim V = 8) the weight blocks do; (2,2,2,1) at d = 4 has dim V = 4,
-        # so its sample checks set the peak
+        # sees numpy's allocations.  maximize peaks with its weight blocks
+        # and the ascent's vectors, or at (4,3,2), d = 3 (f = 168, dim V =
+        # 8) with the Gram check of the widest block; the verify cases
+        # peak in their sample checks
         import schurweyl.cli as cli
 
         diagram = YoungDiagram.from_string(partition)

@@ -11,7 +11,9 @@ from schurweyl.orthogonal_form import Permutation
 from schurweyl.tensor_space import (
     OperatorExpr,
     TensorState,
+    _block_weights,
     _rotated,
+    _seed_blocks,
     antisymmetrizer,
     apply_local_unitary,
     apply_permutation,
@@ -578,24 +580,25 @@ class TestSubspaceBasis:
         ],
     )
     def test_seed_spans_sector(self, n, d):
-        # every shape: orthonormal, dim V vectors, and where the scan is cheap
-        # the same span (compared without d^N x d^N projectors:
-        # ||Q_scan^H Q||_F^2 equals dim V exactly when they agree).  Every
-        # tableau up to 4^6; at 4^7, where all 232 tableaux take minutes, the
-        # first one of each shape, which is the one block_basis seeds from.
+        # every tableau of every shape: dim V orthonormal vectors, checked
+        # one weight block at a time (columns of different weights share no
+        # row), and where the scan is cheap the same span (compared without
+        # d^N x d^N projectors: ||Q_scan^H Q||_F^2 equals dim V exactly
+        # when they agree)
         for nu in partitions_of(n):
             expected = dim_unitary_group_irrep(nu, d)
-            tableaux = enumerate_standard_tableaux(nu)
-            if d**n > 4**6:
-                tableaux = tableaux[:1]
-            for t in tableaux:
-                q = subspace_basis(t, d)
-                assert q.shape[1] == expected
+            for t in enumerate_standard_tableaux(nu):
                 if not expected:
+                    assert subspace_basis(t, d).shape[1] == 0
                     continue
-                np.testing.assert_allclose(q.conj().T @ q, np.eye(expected), atol=1e-10)
+                seed = _seed_blocks(t, d)
+                assert seed.width == expected
+                for _, blocks, _ in seed.stacks:
+                    gram = blocks.conj().transpose(0, 2, 1) @ blocks
+                    eye = np.broadcast_to(np.eye(gram.shape[1]), gram.shape)
+                    np.testing.assert_allclose(gram, eye, atol=1e-10)
                 if d**n <= 256:
-                    overlap = np.linalg.norm(scan_basis(t, d).conj().T @ q) ** 2
+                    overlap = np.linalg.norm(scan_basis(t, d).conj().T @ subspace_basis(t, d)) ** 2
                     assert overlap == pytest.approx(expected, abs=1e-10)
 
 
@@ -622,6 +625,54 @@ def test_bases_are_exact_weight_vectors(n, d):
         for t in enumerate_standard_tableaux(nu):
             assert_weight_vectors(subspace_basis(t, d), labels)
         assert_weight_vectors(block_basis(nu, d), labels)
+
+
+class TestWeightLocalStages:
+    def test_seed_and_block_make_no_dense_projection(self, monkeypatch):
+        def refuse(self, arr):
+            raise AssertionError("dense projector application")
+
+        monkeypatch.setattr(OperatorExpr, "_apply_raw", refuse)
+        dg = YoungDiagram((3, 2, 1))
+        assert _block_weights(dg, 3).width == 16 * 8
+        assert subspace_basis(enumerate_standard_tableaux(dg)[3], 3).shape == (3**6, 8)
+
+    @staticmethod
+    def assert_matches_dense(project, op):
+        # random columns on every weight block; the dense operator, applied
+        # to their scatter, must give the weight-local result bit for bit on
+        # each block's rows (an operator on m < N factors as op x 1)
+        arrays = [
+            RNG.standard_normal(blocks.shape) + 1j * RNG.standard_normal(blocks.shape)
+            for _, blocks, _ in project.stacks
+        ]
+        width = sum(len(a) * a.shape[2] for a in arrays)
+        dense = np.zeros((project.d**project.n, width), dtype=complex)
+        places = []
+        start = 0
+        for (part, blocks, _), arr in zip(project.stacks, arrays):
+            rows = project.gather[part].reshape(blocks.shape[:2])
+            cols = start + np.arange(len(arr) * arr.shape[2]).reshape(len(arr), -1)
+            start += cols.size
+            dense[rows[:, :, None], cols[:, None, :]] = arr
+            places.append((rows, cols))
+        split = (project.d**op.n_factors, -1)
+        out = op._apply_raw(dense.reshape(split)).reshape(dense.shape)
+        for (rows, cols), got in zip(places, project.apply(op, arrays)):
+            np.testing.assert_array_equal(got, out[rows[:, :, None], cols[:, None, :]])
+
+    @pytest.mark.parametrize("build", [orthogonal_projector, young_projection, closed_form_projector],
+                             ids=["orthogonal", "young", "closed-form"])
+    @pytest.mark.parametrize("rows, d", [((2, 1), 2), ((3, 2, 1), 3), ((2, 2, 1, 1), 4)],
+                             ids=["21-d2", "321-d3", "2211-d4"])
+    def test_apply_matches_dense(self, build, rows, d):
+        dg = YoungDiagram(rows)
+        self.assert_matches_dense(_block_weights(dg, d), build(row_ordered_tableau(dg), d))
+
+    def test_apply_on_leading_factors(self):
+        dg = YoungDiagram((3, 2, 1))
+        t = enumerate_standard_tableaux(dg)[4]
+        self.assert_matches_dense(_block_weights(dg, 3), orthogonal_projector(remove_largest(t), 3))
 
 
 class TestAlignedBases:
