@@ -154,20 +154,23 @@ def max_lambda1_over_subspace(
     """Maximize the leading squared Schmidt coefficient over a subspace.
 
     Alternating ascent: starting from a product state alpha x beta on the two
-    sides of the cut, project onto the subspace, normalize, replace the pair
-    by the top Schmidt pair of the result and repeat until the squared
-    projection norm stops increasing.  Every iteration is monotonically
-    non-decreasing in that objective, so each restart converges to a fixed
-    point; the report keeps the best over all restarts.  A restart counts
-    only when its last step produced a state: one that ends on a reset from
-    a start orthogonal to the subspace does not.  ``initial_pairs``
-    prepends deterministic restarts (e.g. a pair taken from a known
-    saturating state) to the random ones.  ``basis`` is an orthonormal
-    basis of weight vectors: its weight blocks, which carry N, or the
-    ``d^N x dim`` matrix of one, each column zero off the rows of one digit
-    multiset (N is read off its rows), as :func:`block_basis` returns it.
-    Every projection applies the weight blocks; a matrix's are copied out
-    once, and the function then holds no reference to it.
+    sides of the cut, project onto the subspace and normalize to psi, take
+    one alternating power step on the amplitude matrix Psi of psi (alpha
+    <- Psi conj(beta), then beta <- Psi^T conj(alpha) with the new alpha,
+    each normalized) and repeat until the squared projection norm gains
+    less than ``tol`` in one step.  Each half-step maximizes
+    ``|<alpha x beta|psi>|`` over one side, and the squared projection norm
+    of a unit product state is at least that overlap squared, so the
+    objective never decreases; the report keeps the best over all
+    restarts.  A restart counts only when its last step produced a state:
+    one that ends on a reset from a start orthogonal to the subspace does
+    not.  ``initial_pairs`` prepends deterministic restarts (e.g. a pair
+    taken from a known saturating state) to the random ones.  ``basis`` is
+    an orthonormal basis of weight vectors: its weight blocks, which carry
+    N, or the ``d^N x dim`` matrix of one, each column zero off the rows of
+    one digit multiset (N is read off its rows), as :func:`block_basis`
+    returns it.  Every projection applies the weight blocks; a matrix's are
+    copied out once, and the function then holds no reference to it.
     """
     config = config or MaximizeConfig()
     project = basis
@@ -230,9 +233,13 @@ def max_lambda1_over_subspace(
                 done = True
                 break
             prev = obj
-            u, _, vh = np.linalg.svd(psi.reshape(dim_a, dim_b), full_matrices=False)
-            alpha = u[:, 0]
-            beta = vh[0, :]
+            # Each half-step maximizes |<alpha x beta|psi>| over one side, so obj cannot
+            # fall; alpha^H Psi conj(beta) = sqrt(obj) > 0 keeps both norms nonzero.
+            mat = psi.reshape(dim_a, dim_b)
+            alpha = mat @ beta.conj()
+            alpha /= np.linalg.norm(alpha)
+            beta = mat.T @ alpha.conj()
+            beta /= np.linalg.norm(beta)
         iterations.append(it)
         converged.append(done)
         traces.append(tuple(trace))
@@ -283,10 +290,8 @@ def _fixed_point_residual(psi: TensorState, project: _WeightBlocks, k: int) -> f
     inside = project(vec)
     if np.linalg.norm(inside - vec) > 1e-6:
         raise ValueError("state lies outside the span of the basis")
-    sr = schmidt_decompose(psi, k)
-    pair = np.multiply.outer(
-        sr.left_vectors[0].amplitudes, sr.right_vectors[0].amplitudes
-    ).reshape(-1)
+    u, _, vh = np.linalg.svd(vec.reshape(psi.local_dim**k, -1), full_matrices=False)
+    pair = np.multiply.outer(u[:, 0], vh[0]).reshape(-1)
     proj = project(pair)
     nrm = np.linalg.norm(proj)
     if nrm == 0:

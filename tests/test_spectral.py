@@ -288,39 +288,40 @@ class TestMaximization:
         assert direct.best_lambda1_sq == pytest.approx(moved.best_lambda1_sq, abs=1e-6)
 
 
-# Recorded before the ascent read the basis matrix without a conjugate copy
-# and before the block basis came from the batched seed: restart iteration
-# counts, index of the best restart and best objective, at 32 restarts.  The
-# mid-cut (2,1,1)/d6 case was recorded from the dense-basis ascent, before
-# projections went one weight block at a time; its last restart stops at
-# the 500-iteration cap.
+# Recorded from the power-step ascent (one alternating power step per
+# iteration, no SVD): restart iteration counts, index of the best restart
+# and best objective, at 32 restarts.  ``svd_best`` is the best objective
+# the earlier ascent reached when it took the top Schmidt pair by a full
+# SVD each step; the two differ by at most 3.4e-11.  On the mid-cut
+# (2,1,1)/d6 case four restarts stop at the 500-iteration cap.
 ALL_CONVERGED = (True,) * 32
 ASCENT_RECORD = [
-    ((2, 2, 1), 3, 2, 0, 1, 0.9999999999976598, (
-        16, 15, 15, 15, 15, 15, 18, 26, 18, 17, 16, 15, 15, 19, 15, 14,
-        15, 15, 14, 14, 20, 15, 18, 14, 15, 16, 14, 15, 16, 14, 15, 14), ALL_CONVERGED),
-    ((2, 2, 1), 3, 2, 1, 3, 0.9999999999976311, (
-        15, 14, 14, 43, 15, 15, 19, 14, 14, 15, 15, 16, 15, 16, 18, 14,
-        15, 16, 17, 16, 16, 17, 14, 16, 14, 15, 15, 16, 15, 18, 14, 15), ALL_CONVERGED),
-    ((3, 2, 1), 3, 5, 0, 16, 0.9999999999633118, (
+    ((2, 2, 1), 3, 2, 0, 1, 0.9999999999973995, 0.9999999999976598, (
+        16, 15, 15, 15, 15, 15, 19, 17, 17, 17, 16, 15, 15, 18, 15, 14,
+        16, 15, 14, 14, 18, 15, 18, 14, 15, 17, 14, 15, 16, 14, 15, 14), ALL_CONVERGED),
+    ((2, 2, 1), 3, 2, 1, 5, 0.9999999999976154, 0.9999999999976311, (
+        15, 14, 14, 22, 15, 15, 17, 14, 14, 15, 16, 16, 15, 16, 17, 14,
+        15, 16, 16, 16, 16, 17, 15, 16, 14, 15, 15, 16, 15, 16, 14, 15), ALL_CONVERGED),
+    ((3, 2, 1), 3, 5, 0, 30, 0.9999999999638027, 0.9999999999633118, (
         30, 30, 31, 29, 30, 31, 29, 30, 30, 30, 30, 30, 30, 30, 29, 30,
-        30, 30, 30, 30, 30, 29, 30, 30, 30, 30, 29, 30, 30, 30, 30, 30), ALL_CONVERGED),
-    ((3, 2, 1), 3, 5, 1, 21, 0.9999999999642883, (
-        29, 29, 29, 29, 30, 30, 30, 30, 29, 29, 29, 29, 30, 30, 30, 30,
+        30, 30, 30, 30, 30, 29, 30, 30, 30, 30, 29, 30, 30, 30, 31, 30), ALL_CONVERGED),
+    ((3, 2, 1), 3, 5, 1, 8, 0.9999999999642949, 0.9999999999642883, (
+        29, 29, 29, 29, 30, 30, 30, 30, 30, 29, 29, 29, 30, 30, 30, 30,
         30, 30, 30, 29, 30, 30, 29, 30, 29, 30, 30, 30, 30, 30, 30, 30), ALL_CONVERGED),
-    ((2, 1, 1), 6, 2, 0, 26, 0.4999999998676766, (
-        449, 79, 79, 95, 50, 267, 68, 58, 233, 176, 119, 262, 347, 147, 375, 86,
-        137, 128, 73, 135, 112, 86, 208, 67, 116, 139, 40, 60, 82, 73, 143, 500),
-        ALL_CONVERGED[:31] + (False,)),
+    ((2, 1, 1), 6, 2, 0, 27, 0.4999999999010162, 0.4999999998676766, (
+        96, 70, 106, 480, 49, 146, 125, 47, 121, 177, 241, 500, 99, 86, 172, 65,
+        138, 61, 308, 500, 136, 115, 180, 208, 89, 148, 109, 36, 78, 500, 500, 128),
+        tuple(i not in (11, 19, 29, 30) for i in range(32))),
 ]
 
 
 @pytest.mark.parametrize(
-    "rows, d, cut, seed, best_restart, best_value, iterations, converged", ASCENT_RECORD,
+    "rows, d, cut, seed, best_restart, best_value, svd_best, iterations, converged",
+    ASCENT_RECORD,
     ids=[f"{''.join(map(str, r[0]))}-d{r[1]}-cut{r[2]}-seed{r[3]}" for r in ASCENT_RECORD],
 )
 def test_ascent_matches_record(
-    rows, d, cut, seed, best_restart, best_value, iterations, converged
+    rows, d, cut, seed, best_restart, best_value, svd_best, iterations, converged
 ):
     basis = block_basis(YoungDiagram(rows), d)
     report = max_lambda1_over_subspace(basis, d, cut, MaximizeConfig(seed=seed))
@@ -328,6 +329,39 @@ def test_ascent_matches_record(
     assert report.converged == converged
     assert report.best_restart == best_restart
     assert report.best_lambda1_sq == pytest.approx(best_value, abs=1e-12)
+    assert abs(report.best_lambda1_sq - svd_best) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "rows, d",
+    [((2, 1), 2), ((2, 2), 2), ((2, 1, 1), 3), ((3, 1), 3), ((2, 2, 1), 3),
+     ((3, 2, 1), 3), ((2, 2, 1, 1), 4)],
+    ids=["21-d2", "22-d2", "211-d3", "31-d3", "221-d3", "321-d3", "2211-d4"],
+)
+def test_power_step_reaches_bound_unseeded(rows, d):
+    # cut N-1 with random restarts only: no pair from the saturating state
+    dg = YoungDiagram(rows)
+    exact, _ = max_schmidt_bound(dg)
+    report = max_lambda1_over_subspace(
+        _block_weights(dg, d), d, dg.n_boxes - 1, MaximizeConfig(restarts=32, seed=0)
+    )
+    assert report.converged[report.best_restart]
+    assert abs(report.best_lambda1_sq - float(exact)) <= 1e-9
+
+
+def test_ascent_takes_no_svd(monkeypatch):
+    # the one SVD left is the fixed-point residual's top Schmidt pair
+    blocks = _block_weights(YoungDiagram((2, 1, 1)), 6)
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    max_lambda1_over_subspace(blocks, 6, 2, MaximizeConfig(restarts=2, seed=0))
+    assert calls == [(36, 36)]
 
 
 class TestFixedPoint:
