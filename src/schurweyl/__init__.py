@@ -34,6 +34,7 @@ from .orthogonal_form import (
 from .tensor_space import (
     OperatorExpr,
     TensorState,
+    WeightBlocks,
     antisymmetrizer,
     apply_local_unitary,
     apply_permutation,

@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tensor_space import TensorState, _WeightBlocks, _weight_projector
+from .tensor_space import TensorState, WeightBlocks
 
 
 @dataclass
@@ -99,8 +99,7 @@ class MaximizationReport:
     ``best_restart`` indexes the restart whose final objective is
     ``best_lambda1_sq`` in ``iterations`` and ``converged``.
     ``fixed_point_residual`` is :func:`verify_fixed_point` of the maximizer
-    at the cut, computed with the weight blocks the ascent projected with:
-    the ones it was given, or those copied out of its basis matrix.
+    at the cut, on the basis the ascent projected onto.
     """
 
     best_lambda1_sq: float
@@ -131,20 +130,8 @@ class MaximizationReport:
         return out
 
 
-def _factor_count(rows: int, d: int, k: int) -> int:
-    # N with d**N == rows, in integers.  At d = 1 every N fits, and the
-    # least one the cut allows, k + 1, is taken.
-    n = 0
-    while d > 1 and d**n < rows:
-        n += 1
-    if d < 1 or d**n != rows:
-        raise ValueError(f"{rows} rows is not a power of the local dimension {d}")
-    return n if d > 1 else k + 1
-
-
 def max_lambda1_over_subspace(
-    basis: np.ndarray | _WeightBlocks,
-    d: int,
+    basis: WeightBlocks,
     k: int,
     config: MaximizeConfig | None = None,
     *,
@@ -166,20 +153,14 @@ def max_lambda1_over_subspace(
     one that ends on a reset from a start orthogonal to the subspace does
     not.  ``initial_pairs`` prepends deterministic restarts (e.g. a pair
     taken from a known saturating state) to the random ones.  ``basis`` is
-    an orthonormal basis of weight vectors: its weight blocks, which carry
-    N, or the ``d^N x dim`` matrix of one, each column zero off the rows of
-    one digit multiset (N is read off its rows), as :func:`block_basis`
-    returns it.  Every projection applies the weight blocks; a matrix's are
-    copied out once, and the function then holds no reference to it.
+    the subspace's orthonormal basis as weight blocks, as
+    :func:`block_basis` and :func:`subspace_basis` return it; it carries d
+    and N, and every projection applies its blocks.
     """
     config = config or MaximizeConfig()
-    project = basis
-    if not isinstance(basis, _WeightBlocks):
-        project = _weight_projector(np.asarray(basis), d, _factor_count(len(basis), d, k))
-    del basis
-    if project.d != d:
-        raise ValueError(f"weight blocks live on local dimension {project.d}, not {d}")
-    n = project.n
+    if not len(basis):
+        raise ValueError("empty basis")
+    d, n = basis.d, basis.n
     if not 1 <= k <= n - 1:
         raise ValueError(f"cut must be in 1..{n - 1}")
     dim_a, dim_b = d**k, d ** (n - k)
@@ -215,7 +196,7 @@ def max_lambda1_over_subspace(
         it = 0
         for it in range(1, config.max_iterations + 1):
             prod = np.multiply.outer(alpha, beta).reshape(-1)
-            proj = project(prod)
+            proj = basis(prod)
             obj = float(np.real(np.vdot(proj, proj)))
             if prev is not None and obj < prev - 1e-12:
                 raise RuntimeError(
@@ -257,7 +238,7 @@ def max_lambda1_over_subspace(
         converged=tuple(converged),
         best_restart=best_restart,
         maximizer=maximizer,
-        fixed_point_residual=_fixed_point_residual(maximizer, project, k),
+        fixed_point_residual=verify_fixed_point(maximizer, basis, k),
         cut=k,
         analytic_bound=analytic_bound,
         seed=config.seed,
@@ -265,34 +246,27 @@ def max_lambda1_over_subspace(
     )
 
 
-def verify_fixed_point(psi: TensorState, basis: np.ndarray, k: int) -> float:
+def verify_fixed_point(psi: TensorState, basis: WeightBlocks, k: int) -> float:
     """Residual of the maximizer fixed-point equation.
 
     A maximizer equals the normalized subspace projection of its own top
     Schmidt pair; the returned norm distance is near zero exactly for such
-    states.  ``basis`` holds an orthonormal basis of weight vectors in its
-    columns, as :func:`block_basis` returns it.  Raises when it has another
-    row count than psi has amplitudes, is not orthonormal, has a column that
-    mixes weights, or psi is not (numerically) inside its span.
+    states.  ``basis`` is the subspace's orthonormal basis as weight
+    blocks, as :func:`block_basis` returns it.  Raises when it lives on
+    another space than psi, or psi is not (numerically) inside its span.
     """
-    mat = np.asarray(basis)
-    if mat.shape[0] != psi.amplitudes.shape[0]:
+    if (basis.d, basis.n) != (psi.local_dim, psi.n_factors):
         raise ValueError(
-            f"basis has {mat.shape[0]} rows, but the state lives on "
+            f"basis lives on d={basis.d}, n={basis.n}, but the state on "
             f"d={psi.local_dim}, n={psi.n_factors}"
         )
-    project = _weight_projector(mat, psi.local_dim, psi.n_factors)
-    return _fixed_point_residual(psi, project, k)
-
-
-def _fixed_point_residual(psi: TensorState, project: _WeightBlocks, k: int) -> float:
     vec = psi.amplitudes
-    inside = project(vec)
+    inside = basis(vec)
     if np.linalg.norm(inside - vec) > 1e-6:
         raise ValueError("state lies outside the span of the basis")
     u, _, vh = np.linalg.svd(vec.reshape(psi.local_dim**k, -1), full_matrices=False)
     pair = np.multiply.outer(u[:, 0], vh[0]).reshape(-1)
-    proj = project(pair)
+    proj = basis(pair)
     nrm = np.linalg.norm(proj)
     if nrm == 0:
         return float(np.linalg.norm(vec))

@@ -1,4 +1,5 @@
-"""Dense states on (C^d)^(tensor n) and matrix-free permutation operators.
+"""Dense states on (C^d)^(tensor n), matrix-free permutation operators and
+the sector and block bases, held as their weight blocks.
 
 Row symmetrizers, column antisymmetrizers, Young projections, the hermitian
 sector projectors (products of Jucys-Murphy interpolation stages) and their
@@ -439,20 +440,21 @@ def _weight_keys(d: int, n: int) -> np.ndarray:
     return keys
 
 
-def _stacked(d: int, n: int, lead: np.ndarray, block) -> tuple[np.ndarray, list]:
-    """The ``gather`` and ``stacks`` of :class:`_WeightBlocks` for columns
-    on the weights of rows ``lead``: in increasing weight order, the block
-    of a weight's ascending rows r and columns c is ``block(r, c)``."""
+def _stacked(d: int, n: int, flat: np.ndarray) -> tuple[np.ndarray, list]:
+    """The ``gather`` and ``stacks`` of :class:`WeightBlocks` for the unit
+    vectors on the flat indices ``flat``: in increasing weight order, the
+    block of a weight holds its ascending rows and one unit column per index
+    of ``flat`` on that weight."""
     keys = _weight_keys(d, n)
     by_shape: dict[tuple[int, int], list[tuple[np.ndarray, np.ndarray]]] = {}
-    for w in sorted(set(keys[lead].tolist())):
-        r, c = np.flatnonzero(keys == w), np.flatnonzero(keys[lead] == w)
+    for w in sorted(set(keys[flat].tolist())):
+        r, c = np.flatnonzero(keys == w), np.flatnonzero(keys[flat] == w)
         by_shape.setdefault((r.size, c.size), []).append((r, c))
     stacks, stop = [], 0
     for (height, width), cells in by_shape.items():
         blocks = np.empty((len(cells), height, width), dtype=np.complex128)
         for out, (r, c) in zip(blocks, cells):
-            out[...] = block(r, c)
+            out[...] = r[:, None] == flat[c]
         start, stop = stop, stop + len(cells) * height
         stacks.append((slice(start, stop), blocks, np.stack([c for _, c in cells])))
     gather = np.concatenate([r for cells in by_shape.values() for r, _ in cells])
@@ -464,14 +466,15 @@ BASIS_TOL = 1e-8
 
 
 @dataclass(frozen=True)
-class _WeightBlocks:
+class WeightBlocks:
     """An orthonormal basis of weight vectors on (C^d)^(tensor n) as its
     nonzero weight blocks, stacked by shape: ``gather`` lists the rows weight
     by weight, and each stack is ``(part, blocks, cols)``: its slice of
     ``gather``, its ``(count, h, w)`` blocks and their ``(count, w)``
     ascending column indices, orthonormality checked on construction.
-    Calling it projects a ``(d**n,)`` vector or ``(d**n, batch)`` matrix
-    onto the span: one gather, two stacked products per shape, one scatter."""
+    ``len`` is the number of basis vectors.  Calling it projects a
+    ``(d**n,)`` vector or ``(d**n, batch)`` matrix onto the span: one
+    gather, two stacked products per shape, one scatter."""
 
     d: int
     n: int
@@ -488,8 +491,7 @@ class _WeightBlocks:
             if np.abs(gram).max() > BASIS_TOL:
                 raise ValueError("basis is not orthonormal")
 
-    @property
-    def width(self) -> int:
+    def __len__(self) -> int:
         return sum(cols.size for _, _, cols in self.stacks)
 
     def __call__(self, vec: np.ndarray) -> np.ndarray:
@@ -505,8 +507,8 @@ class _WeightBlocks:
         return out
 
     def scatter(self) -> np.ndarray:
-        """The basis as a dense C-ordered ``(d**n, width)`` matrix."""
-        out = np.zeros((self.d**self.n, self.width), dtype=np.complex128)
+        """The basis as a dense C-ordered ``(d**n, len(self))`` matrix."""
+        out = np.zeros((self.d**self.n, len(self)), dtype=np.complex128)
         for part, blocks, cols in self.stacks:
             rows = self.gather[part].reshape(blocks.shape[:2])
             out[rows[:, :, None], cols[:, None, :]] = blocks
@@ -535,39 +537,23 @@ class _WeightBlocks:
         return out
 
 
-def _weight_projector(mat: np.ndarray, d: int, n: int) -> _WeightBlocks:
-    """The weight blocks of the columns of a ``(d**n, dim)`` matrix that a
-    library caller passes in, each a weight vector: zero off the rows of the
-    digit multiset its first nonzero entry names.  Each weight's nonzero
-    block is copied out of ``mat``; no reference to ``mat`` is kept."""
-    cols = mat.shape[1]
-    if cols == 0:
-        raise ValueError("empty basis")
-    first = np.argmax(mat != 0, axis=0)
-    if not mat[first, np.arange(cols)].all():
-        raise ValueError("basis is not orthonormal")
-    gather, stacks = _stacked(d, n, first, lambda r, c: mat[np.ix_(r, c)])
-    if sum(np.count_nonzero(blocks) for _, blocks, _ in stacks) != np.count_nonzero(mat):
-        raise ValueError("basis columns are not weight vectors")
-    return _WeightBlocks(d, n, gather, stacks)
-
-
-def _seed_blocks(t: StandardTableau, d: int) -> _WeightBlocks:
-    """Orthonormal basis of the tableau's sector as its weight blocks.  The
-    candidates are the product states of the semistandard fillings T of the
-    shape with 0..d-1, digit T(box) on factor t(box), as unit weight blocks;
-    column j is filling j's.  A permutation of factors keeps each index's
-    weight (digit multiset), so the projector acts block by block, and one
-    QR per block orthonormalizes the images.  Raises ``ArithmeticError``
-    below full rank, ``ValueError`` when d is below the number of rows."""
+def subspace_basis(t: StandardTableau, d: int) -> WeightBlocks:
+    """Orthonormal basis of the tableau's sector as its weight blocks, with
+    no vector when d is below the number of rows.  The candidates are the
+    product states of the semistandard fillings T of the shape with
+    0..d-1, digit T(box) on factor t(box), as unit weight blocks; vector j
+    is filling j's.  A permutation of factors keeps each index's weight
+    (digit multiset), so the projector acts block by block, and one QR per
+    block orthonormalizes the images.  Raises ``ArithmeticError`` below
+    full rank."""
     n = t.n
     if d < t.diagram.n_rows:
-        raise ValueError("empty basis")
+        return WeightBlocks(d, n, np.empty(0, dtype=np.int64), [])
     fillings = enumerate_semistandard_tableaux(t.diagram, d)
     place = np.array([d ** (n - v) for row in t.rows for v in row])
     flat = np.array([[x for row in f for x in row] for f in fillings]) @ place
-    gather, stacks = _stacked(d, n, flat, lambda r, c: r[:, None] == flat[c])
-    candidates = _WeightBlocks(d, n, gather, stacks)
+    gather, stacks = _stacked(d, n, flat)
+    candidates = WeightBlocks(d, n, gather, stacks)
     images = candidates.apply(orthogonal_projector(t, d), [blocks for _, blocks, _ in stacks])
     qr = [np.linalg.qr(x) for x in images]
     # A dependent candidate leaves a diagonal entry of R at rounding level;
@@ -580,24 +566,15 @@ def _seed_blocks(t: StandardTableau, d: int) -> _WeightBlocks:
             f"found {rank} independent directions, expected {expected} "
             f"for tableau {t} at d={d}"
         )
-    return _WeightBlocks(d, n, gather, [(p, q, c) for (p, _, c), (q, _) in zip(stacks, qr)])
+    return WeightBlocks(d, n, gather, [(p, q, c) for (p, _, c), (q, _) in zip(stacks, qr)])
 
 
-def subspace_basis(t: StandardTableau, d: int) -> np.ndarray:
-    """Orthonormal basis of the tableau's sector, the ``(d**N, dim V)`` dense
-    scatter of :func:`_seed_blocks`: each column is exactly zero off its
-    weight.  No column when d is below the number of rows."""
-    if d < t.diagram.n_rows:
-        return np.zeros((d**t.n, 0), dtype=np.complex128)
-    return _seed_blocks(t, d).scatter()
-
-
-def _block_weights(diagram: YoungDiagram, d: int) -> _WeightBlocks:
-    """Orthonormal basis of the diagram's whole block as its weight blocks
-    (``ValueError`` when d is smaller than the number of rows).  Column
+def block_basis(diagram: YoungDiagram, d: int) -> WeightBlocks:
+    """Orthonormal basis of the diagram's whole block as its weight blocks,
+    with no vector when d is smaller than the number of rows.  Vector
     ``i * dim V + a`` is vector a of the i-th tableau's sector, the same
     unitary-group vector in every sector.  The first tableau's blocks are
-    those of :func:`_seed_blocks`; each other tableau s = (k k+1) t is
+    those of :func:`subspace_basis`; each other tableau s = (k k+1) t is
     reached across a swap with axial distance |r| >= 2, where Young's
     orthogonal form reads sigma_k v_t = v_t / r + sqrt(1 - 1/r^2) v_s: one
     row gather and one axpy per swap and stack, no projector.  The positive
@@ -605,8 +582,10 @@ def _block_weights(diagram: YoungDiagram, d: int) -> _WeightBlocks:
     n = diagram.n_boxes
     tableaux = enumerate_standard_tableaux(diagram)
     f = len(tableaux)
-    seed = _seed_blocks(tableaux[0], d)
-    gather, dim_v = seed.gather, seed.width
+    seed = subspace_basis(tableaux[0], d)
+    if not len(seed):
+        return seed
+    gather, dim_v = seed.gather, len(seed)
     swaps = {k: seed.row_map(Permutation.transposition(n, k, k + 1)) for k in range(1, n)}
     stacks = []
     for part, blocks, cols in seed.stacks:
@@ -637,14 +616,4 @@ def _block_weights(diagram: YoungDiagram, d: int) -> _WeightBlocks:
             frontier.append(s)
     if len(reached) != f:
         raise ArithmeticError("swap moves failed to reach every tableau")
-    return _WeightBlocks(d, n, gather, [(p, w.reshape(*w.shape[:2], -1), c) for p, w, c in stacks])
-
-
-def block_basis(diagram: YoungDiagram, d: int) -> np.ndarray:
-    """Orthonormal basis of the diagram's whole block: the dense scatter of
-    :func:`_block_weights`, one C-ordered ``(d**N, f * dim V)`` matrix with
-    its column order, every column exactly zero off one weight.  No column
-    when d is smaller than the number of rows."""
-    if d < diagram.n_rows:
-        return np.zeros((d**diagram.n_boxes, 0), dtype=np.complex128)
-    return _block_weights(diagram, d).scatter()
+    return WeightBlocks(d, n, gather, [(p, w.reshape(*w.shape[:2], -1), c) for p, w, c in stacks])

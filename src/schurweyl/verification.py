@@ -18,10 +18,10 @@ import numpy as np
 
 from .orthogonal_form import Permutation, permutation_matrix
 from .special_states import coherent_state, optimizer_state
-from .spectral import _fixed_point_residual, schmidt_decompose
+from .spectral import schmidt_decompose, verify_fixed_point
 from .tensor_space import (
-    _block_weights,
     _rotated,
+    block_basis,
     closed_form_projector,
     orthogonal_projector,
     random_state,
@@ -125,8 +125,8 @@ def run_verification(
     # The aligned sector bases as weight blocks, orthonormality checked:
     # column ti*dim + a holds vector a of sector ti.
     expected_dim = dim_unitary_group_irrep(diagram, d)
-    project = _block_weights(diagram, d)
-    width = project.width
+    project = block_basis(diagram, d)
+    width = len(project)
     worst_dim = abs(width / len(tableaux) - expected_dim)
     record("sector dimensions", worst_dim, 0.5, f"dim {expected_dim} per sector")
 
@@ -214,7 +214,7 @@ def run_verification(
             worst_sat = max(worst_sat, abs(lam1**2 - float(bound_for_box(diagram, box))))
             t_box = tableau_with_largest_in(diagram, box)
             worst_mem = max(worst_mem, (projectors[t_box](state) - state).norm())
-            worst_fix = max(worst_fix, _fixed_point_residual(state, project, n - 1))
+            worst_fix = max(worst_fix, verify_fixed_point(state, project, n - 1))
     record("saturation of the exact bound", worst_sat, 1e-8)
     record("saturating-state membership", worst_mem, 1e-8)
     record("saturating-state fixed point", worst_fix, 1e-7)

@@ -159,7 +159,7 @@ def test_criterion_5_orthogonal_form_cross_check():
         for nu in partitions_of(n):
             d = max(2, nu.n_rows)
             dim_v = dim_unitary_group_irrep(nu, d)
-            mat = block_basis(nu, d)
+            mat = block_basis(nu, d).scatter()
             sigmas = [Permutation.transposition(n, k, k + 1) for k in range(1, n)]
             sigmas.append(Permutation.random(n, rng))
             for sigma in sigmas:
@@ -180,7 +180,7 @@ def test_criterion_6_schmidt_confinement():
             d = max(2, nu.n_rows)
             for t in enumerate_standard_tableaux(nu):
                 down = orthogonal_projector(remove_largest(t), d)
-                for col in subspace_basis(t, d).T:
+                for col in subspace_basis(t, d).scatter().T:
                     sr = schmidt_decompose(TensorState(d, n, col), n - 1)
                     for lam, phi in zip(sr.coefficients, sr.left_vectors):
                         if lam > 1e-8:
@@ -215,7 +215,7 @@ def test_criterion_8_entropy_corollary():
     for n in (2, 3, 4):
         for nu in partitions_of(n):
             d = nu.n_rows
-            mat = block_basis(nu, d)
+            mat = block_basis(nu, d).scatter()
             bound = entropy_lower_bound(nu)
             rng = np.random.default_rng(n * 1000 + d)
             for _ in range(200):

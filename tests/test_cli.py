@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from schurweyl.cli import main
 from schurweyl.orthogonal_form import IrrepMatrix, permutation_matrix
 from schurweyl.spectral import MaximizeConfig, max_lambda1_over_subspace
-from schurweyl.tensor_space import OperatorExpr, _block_weights
+from schurweyl.tensor_space import OperatorExpr, WeightBlocks, block_basis
 from schurweyl.verification import CheckResult, run_verification
 from schurweyl.young import YoungDiagram, enumerate_standard_tableaux, removable_boxes
 
@@ -241,9 +241,9 @@ class TestVerify:
         import schurweyl.verification as verification
 
         def swapped(diagram, d):
-            project = _block_weights(diagram, d)
+            project = block_basis(diagram, d)
             last = len(enumerate_standard_tableaux(diagram)) - 1
-            dim = project.width // (last + 1)
+            dim = len(project) // (last + 1)
             for _, blocks, cols in project.stacks:
                 j = np.flatnonzero(cols[0] // dim == last)
                 if j.size >= 2:
@@ -251,7 +251,7 @@ class TestVerify:
                     return project
             raise AssertionError("no weight block with two columns of the last sector")
 
-        monkeypatch.setattr(verification, "_block_weights", swapped)
+        monkeypatch.setattr(verification, "block_basis", swapped)
         check = verify_check(runner, "3,2,1", 3, "shared-corner Schmidt spectra")
         assert check["passed"] is False
 
@@ -327,6 +327,21 @@ class TestMaximize:
         assert [c["name"] for c in payload["checks"]] == ["ascent converged"]
         assert payload["passed"] is True
 
+    def test_interior_cut_text_reports_no_gap(self, runner):
+        # the exact bound is the maximum only at the cut N-1: off it the text
+        # names that cut and prints no gap to it
+        result = runner.invoke(
+            main, ["maximize", "--partition", "2,2", "--d", "2", "--cut", "2", "--restarts", "4"]
+        )
+        assert result.exit_code == 0, result.output
+        lines = result.output.splitlines()
+        assert "bound at cut 3       1/2  at box (2,2)" in lines
+        assert not any(line.startswith(("gap", "exact bound")) for line in lines)
+        result = runner.invoke(main, ["maximize", "--partition", "2,2", "--d", "2", "--restarts", "4"])
+        lines = result.output.splitlines()
+        assert "exact bound          1/2  at box (2,2)" in lines
+        assert any(line.startswith("gap ") for line in lines)
+
     def test_one_dimensional_factors_keep_every_box(self, runner):
         # at d = 1 every N has one row; the maximizer still has a factor per box
         result = runner.invoke(
@@ -388,16 +403,11 @@ class TestSweep:
     ["maximize", "--partition", "2,2,1", "--d", "3", "--restarts", "2"],
 ], ids=["verify", "maximize"])
 def test_runs_never_build_the_dense_block(runner, monkeypatch, args):
-    # both commands work on the weight blocks; block_basis is only their
-    # dense scatter for library callers
-    import sys
-
+    # both commands work on the weight blocks and never scatter them
     def refuse(*args):
         raise AssertionError("dense block built")
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("schurweyl") and hasattr(module, "block_basis"):
-            monkeypatch.setattr(module, "block_basis", refuse)
+    monkeypatch.setattr(WeightBlocks, "scatter", refuse)
     result = runner.invoke(main, args)
     assert result.exit_code == 0, result.output
 
@@ -466,7 +476,7 @@ class TestMemoryEstimate:
             if command == "maximize":
                 # as the CLI runs it: the blocks go to the ascent, no dense block
                 max_lambda1_over_subspace(
-                    _block_weights(diagram, d), d, diagram.n_boxes - 1,
+                    block_basis(diagram, d), diagram.n_boxes - 1,
                     MaximizeConfig(restarts=1, seed=0),
                 )
             else:

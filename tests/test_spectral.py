@@ -15,15 +15,15 @@ from schurweyl.orthogonal_form import Permutation
 from schurweyl.special_states import OrthonormalFrame, optimizer_state, slater
 from schurweyl.tensor_space import (
     TensorState,
-    _block_weights,
-    _weight_projector,
+    WeightBlocks,
     apply_local_unitary,
     block_basis,
-    permute_matrix_columns,
     random_state,
+    subspace_basis,
 )
 from schurweyl.young import (
     Box,
+    StandardTableau,
     YoungDiagram,
     entropy_lower_bound,
     max_schmidt_bound,
@@ -40,7 +40,7 @@ def singlet():
 
 
 def singlet_basis():
-    return singlet().amplitudes[:, None]
+    return subspace_basis(StandardTableau(((1,), (2,))), 2)
 
 
 def naive_partial_trace(psi, keep):
@@ -171,27 +171,27 @@ class TestEntropy:
 
 class TestMaximization:
     def test_antisymmetric_two_qubits(self):
-        report = max_lambda1_over_subspace(singlet_basis(), 2, 1, MaximizeConfig(restarts=4, seed=0))
+        report = max_lambda1_over_subspace(singlet_basis(), 1, MaximizeConfig(restarts=4, seed=0))
         assert report.best_lambda1_sq == pytest.approx(0.5, abs=1e-10)
 
     def test_mixed_symmetry_block_reaches_one(self):
         basis = block_basis(YoungDiagram((2, 1)), 2)
-        report = max_lambda1_over_subspace(basis, 2, 2, MaximizeConfig(restarts=16, seed=1))
+        report = max_lambda1_over_subspace(basis, 2, MaximizeConfig(restarts=16, seed=1))
         assert report.best_lambda1_sq == pytest.approx(1.0, abs=1e-7)
 
     def test_square_diagram_reaches_half(self):
         basis = block_basis(YoungDiagram((2, 2)), 2)
-        report = max_lambda1_over_subspace(basis, 2, 3, MaximizeConfig(restarts=16, seed=0))
+        report = max_lambda1_over_subspace(basis, 3, MaximizeConfig(restarts=16, seed=0))
         assert report.best_lambda1_sq == pytest.approx(0.5, abs=1e-6)
 
     def test_staircase_block_reaches_one(self):
         basis = block_basis(YoungDiagram((3, 2, 1)), 3)
-        report = max_lambda1_over_subspace(basis, 3, 5, MaximizeConfig(restarts=12, seed=0))
+        report = max_lambda1_over_subspace(basis, 5, MaximizeConfig(restarts=12, seed=0))
         assert report.best_lambda1_sq == pytest.approx(1.0, abs=1e-6)
 
     def test_monotone_traces(self):
         basis = block_basis(YoungDiagram((2, 2)), 2)
-        report = max_lambda1_over_subspace(basis, 2, 3, MaximizeConfig(restarts=8, seed=3))
+        report = max_lambda1_over_subspace(basis, 3, MaximizeConfig(restarts=8, seed=3))
         for trace in report.objective_traces:
             diffs = np.diff(np.array(trace))
             assert (diffs >= -1e-12).all()
@@ -202,7 +202,7 @@ class TestMaximization:
             d = dg.n_rows
             basis = block_basis(dg, d)
             report = max_lambda1_over_subspace(
-                basis, d, dg.n_boxes - 1, MaximizeConfig(restarts=6, seed=0),
+                basis, dg.n_boxes - 1, MaximizeConfig(restarts=6, seed=0),
                 analytic_bound=max_schmidt_bound(dg)[0],
             )
             assert report.best_lambda1_sq <= float(report.analytic_bound) + 1e-7
@@ -213,38 +213,31 @@ class TestMaximization:
         state = optimizer_state(dg, Box(2, 2), d=2)
         sr = schmidt_decompose(state, 3)
         report = max_lambda1_over_subspace(
-            basis, 2, 3, MaximizeConfig(restarts=1, seed=0),
+            basis, 3, MaximizeConfig(restarts=1, seed=0),
             initial_pairs=[(sr.left_vectors[0], sr.right_vectors[0])],
         )
         assert report.restarts == 2
         assert report.best_lambda1_sq == pytest.approx(0.5, abs=1e-9)
 
     def test_input_validation(self):
-        with pytest.raises(ValueError, match="empty"):
-            max_lambda1_over_subspace(np.zeros((4, 0), dtype=complex), 2, 1)
-        column = TensorState.product_basis(2, [0, 1]).amplitudes
-        bad = np.column_stack([column, column])
+        with pytest.raises(ValueError, match="empty basis"):
+            max_lambda1_over_subspace(block_basis(YoungDiagram((1, 1, 1)), 2), 1)
+        # one weight block, {0,1}, whose two columns are both |01>
+        column = np.array([[1], [0]], dtype=complex)
+        bad = np.concatenate([column, column], axis=1)[None]
         with pytest.raises(ValueError, match="orthonormal"):
-            max_lambda1_over_subspace(bad, 2, 1)
-        with pytest.raises(ValueError, match="not a power"):
-            max_lambda1_over_subspace(np.eye(6, 1, dtype=complex), 2, 1)
-        with pytest.raises(ValueError, match="not a power"):
-            max_lambda1_over_subspace(singlet_basis(), 3, 1)
+            WeightBlocks(2, 2, np.array([1, 2]), [(slice(0, 2), bad, np.array([[0, 1]]))])
+        with pytest.raises(ValueError, match="cut must be in 1..1"):
+            max_lambda1_over_subspace(singlet_basis(), 2)
 
     def test_rejects_pair_on_another_local_dimension(self):
         # the right factor has d = 3, the basis d = 2
         pair = (TensorState.single([1, 0]), TensorState.single([0, 1, 0]))
         with pytest.raises(ValueError, match="local dimension 2"):
-            max_lambda1_over_subspace(singlet_basis(), 2, 1, initial_pairs=[pair])
-
-    def test_one_dimensional_factors(self):
-        # at d = 1 the row count fixes no N; the least one the cut allows is taken
-        report = max_lambda1_over_subspace(np.ones((1, 1)), 1, 2, MaximizeConfig(restarts=1))
-        assert report.best_lambda1_sq == pytest.approx(1.0, abs=1e-12)
-        assert (report.maximizer.local_dim, report.maximizer.n_factors) == (1, 3)
+            max_lambda1_over_subspace(singlet_basis(), 1, initial_pairs=[pair])
 
     def test_report_serialization(self):
-        report = max_lambda1_over_subspace(singlet_basis(), 2, 1, MaximizeConfig(restarts=2, seed=0))
+        report = max_lambda1_over_subspace(singlet_basis(), 1, MaximizeConfig(restarts=2, seed=0))
         blob = report.to_json_dict()
         assert "objective_traces" not in blob
         blob = report.to_json_dict(include_trace=True)
@@ -255,14 +248,14 @@ class TestMaximization:
         e0 = TensorState.single([1, 0])
         with pytest.raises(RuntimeError, match="no restart produced a state"):
             max_lambda1_over_subspace(
-                singlet_basis(), 2, 1, MaximizeConfig(restarts=0, max_iterations=1),
+                singlet_basis(), 1, MaximizeConfig(restarts=0, max_iterations=1),
                 initial_pairs=[(e0, e0)],
             )
 
     def test_random_restarts_follow_orthogonal_start(self):
         e0 = TensorState.single([1, 0])
         report = max_lambda1_over_subspace(
-            singlet_basis(), 2, 1, MaximizeConfig(restarts=2, max_iterations=1, seed=0),
+            singlet_basis(), 1, MaximizeConfig(restarts=2, max_iterations=1, seed=0),
             initial_pairs=[(e0, e0)],
         )
         assert report.objective_traces[0] == (0.0,)
@@ -275,16 +268,20 @@ class TestMaximization:
     @pytest.mark.parametrize("rows, d, cut", [((2, 2), 2, 3), ((2, 1, 1), 3, 2)])
     def test_report_residual_equals_verify(self, rows, d, cut):
         basis = block_basis(YoungDiagram(rows), d)
-        report = max_lambda1_over_subspace(basis, d, cut, MaximizeConfig(restarts=4, seed=0))
+        report = max_lambda1_over_subspace(basis, cut, MaximizeConfig(restarts=4, seed=0))
         assert report.fixed_point_residual == verify_fixed_point(report.maximizer, basis, cut)
 
     def test_cut_covariance(self):
         # splitting off factor 1 instead of the last factor gives the same max
         dg = YoungDiagram((2, 1))
         basis = block_basis(dg, 2)
-        swapped = permute_matrix_columns(Permutation.transposition(3, 1, 3), basis, 2, 3)
-        direct = max_lambda1_over_subspace(basis, 2, 2, MaximizeConfig(restarts=12, seed=0))
-        moved = max_lambda1_over_subspace(swapped, 2, 2, MaximizeConfig(restarts=12, seed=0))
+        rows = basis.row_map(Permutation.transposition(3, 1, 3))
+        swapped = WeightBlocks(2, 3, basis.gather, [
+            (part, blocks.reshape(-1, blocks.shape[2])[r].reshape(blocks.shape), cols)
+            for (part, blocks, cols), r in zip(basis.stacks, rows)
+        ])
+        direct = max_lambda1_over_subspace(basis, 2, MaximizeConfig(restarts=12, seed=0))
+        moved = max_lambda1_over_subspace(swapped, 2, MaximizeConfig(restarts=12, seed=0))
         assert direct.best_lambda1_sq == pytest.approx(moved.best_lambda1_sq, abs=1e-6)
 
 
@@ -324,7 +321,7 @@ def test_ascent_matches_record(
     rows, d, cut, seed, best_restart, best_value, svd_best, iterations, converged
 ):
     basis = block_basis(YoungDiagram(rows), d)
-    report = max_lambda1_over_subspace(basis, d, cut, MaximizeConfig(seed=seed))
+    report = max_lambda1_over_subspace(basis, cut, MaximizeConfig(seed=seed))
     assert report.iterations == iterations
     assert report.converged == converged
     assert report.best_restart == best_restart
@@ -343,7 +340,7 @@ def test_power_step_reaches_bound_unseeded(rows, d):
     dg = YoungDiagram(rows)
     exact, _ = max_schmidt_bound(dg)
     report = max_lambda1_over_subspace(
-        _block_weights(dg, d), d, dg.n_boxes - 1, MaximizeConfig(restarts=32, seed=0)
+        block_basis(dg, d), dg.n_boxes - 1, MaximizeConfig(restarts=32, seed=0)
     )
     assert report.converged[report.best_restart]
     assert abs(report.best_lambda1_sq - float(exact)) <= 1e-9
@@ -351,7 +348,7 @@ def test_power_step_reaches_bound_unseeded(rows, d):
 
 def test_ascent_takes_no_svd(monkeypatch):
     # the one SVD left is the fixed-point residual's top Schmidt pair
-    blocks = _block_weights(YoungDiagram((2, 1, 1)), 6)
+    blocks = block_basis(YoungDiagram((2, 1, 1)), 6)
     calls = []
     svd = np.linalg.svd
 
@@ -360,7 +357,7 @@ def test_ascent_takes_no_svd(monkeypatch):
         return svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted)
-    max_lambda1_over_subspace(blocks, 6, 2, MaximizeConfig(restarts=2, seed=0))
+    max_lambda1_over_subspace(blocks, 2, MaximizeConfig(restarts=2, seed=0))
     assert calls == [(36, 36)]
 
 
@@ -380,9 +377,9 @@ class TestFixedPoint:
         dg = YoungDiagram((2, 1))
         basis = block_basis(dg, 2)
         rng = np.random.default_rng(9)
-        coeffs = rng.standard_normal(basis.shape[1]) + 1j * rng.standard_normal(basis.shape[1])
+        coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
         coeffs /= np.linalg.norm(coeffs)
-        psi = TensorState(2, 3, basis @ coeffs)
+        psi = TensorState(2, 3, basis.scatter() @ coeffs)
         assert verify_fixed_point(psi, basis, 2) > 0.01
 
     def test_rejects_state_outside_span(self):
@@ -395,7 +392,7 @@ class TestFixedPoint:
     def test_rejects_state_on_another_space(self):
         basis = block_basis(YoungDiagram((2, 2)), 2)
         other = TensorState.product_basis(3, [0, 0, 0, 0])
-        with pytest.raises(ValueError, match="d=3, n=4"):
+        with pytest.raises(ValueError, match="state on d=3, n=4"):
             verify_fixed_point(other, basis, 3)
 
 
@@ -408,50 +405,20 @@ WEIGHT_SHAPES = pytest.mark.parametrize(
 class TestWeightProjector:
     @WEIGHT_SHAPES
     def test_matches_dense_projection(self, rows, d):
-        dg = YoungDiagram(rows)
-        mat = block_basis(dg, d)
+        basis = block_basis(YoungDiagram(rows), d)
+        mat = basis.scatter()
         shape = (mat.shape[0], 5)
         batch = RNG.standard_normal(shape) + 1j * RNG.standard_normal(shape)
-        project = _weight_projector(mat, d, dg.n_boxes)
-        np.testing.assert_allclose(project(batch), mat @ (mat.conj().T @ batch), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(basis(batch), mat @ (mat.conj().T @ batch), rtol=0, atol=1e-13)
         np.testing.assert_allclose(
-            project(batch[:, 0]), mat @ (mat.conj().T @ batch[:, 0]), rtol=0, atol=1e-13
+            basis(batch[:, 0]), mat @ (mat.conj().T @ batch[:, 0]), rtol=0, atol=1e-13
         )
-
-    @WEIGHT_SHAPES
-    def test_dense_block_round_trip(self, rows, d):
-        # the weight blocks read back out of their dense scatter are the
-        # built ones: same rows, same columns, the same numbers
-        dg = YoungDiagram(rows)
-        built = _block_weights(dg, d)
-        parsed = _weight_projector(block_basis(dg, d), d, dg.n_boxes)
-        assert (parsed.d, parsed.n) == (built.d, built.n) == (d, dg.n_boxes)
-        np.testing.assert_array_equal(parsed.gather, built.gather)
-        assert len(parsed.stacks) == len(built.stacks)
-        for (part, blocks, cols), (b_part, b_blocks, b_cols) in zip(parsed.stacks, built.stacks):
-            assert part == b_part
-            np.testing.assert_array_equal(cols, b_cols)
-            assert blocks.shape == b_blocks.shape and (blocks == b_blocks).all()
 
     def test_ascent_takes_the_blocks(self):
         # the blocks carry N, so at d = 1 the maximizer keeps every factor
         dg = YoungDiagram((3,))
-        report = max_lambda1_over_subspace(_block_weights(dg, 1), 1, 1, MaximizeConfig(restarts=1))
+        report = max_lambda1_over_subspace(block_basis(dg, 1), 1, MaximizeConfig(restarts=1))
         assert (report.maximizer.local_dim, report.maximizer.n_factors) == (1, 3)
-        with pytest.raises(ValueError, match="local dimension 1, not 2"):
-            max_lambda1_over_subspace(_block_weights(dg, 1), 2, 1)
-
-    def test_mixed_weight_columns_are_rejected(self):
-        # orthonormal: (|00> + |11>)/sqrt 2 mixes the weights {0,0} and {1,1},
-        # next to the weight vector (|01> + |10>)/sqrt 2
-        mixed = np.zeros((4, 2), dtype=complex)
-        mixed[[0, 3], 0] = 1 / math.sqrt(2)
-        mixed[[1, 2], 1] = 1 / math.sqrt(2)
-        with pytest.raises(ValueError, match="not weight vectors"):
-            max_lambda1_over_subspace(mixed, 2, 1)
-        psi = TensorState(2, 2, mixed[:, 0])
-        with pytest.raises(ValueError, match="not weight vectors"):
-            verify_fixed_point(psi, mixed, 1)
 
 
 class TestEntropyBound:
@@ -463,7 +430,7 @@ class TestEntropyBound:
         bound = entropy_lower_bound(dg)
         rng = np.random.default_rng(hash(nu) % 2**32)
         for _ in range(25):
-            coeffs = rng.standard_normal(basis.shape[1]) + 1j * rng.standard_normal(basis.shape[1])
+            coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
             coeffs /= np.linalg.norm(coeffs)
-            psi = TensorState(d, dg.n_boxes, basis @ coeffs)
+            psi = TensorState(d, dg.n_boxes, basis.scatter() @ coeffs)
             assert entanglement_entropy(psi, dg.n_boxes - 1) >= bound - 1e-7
