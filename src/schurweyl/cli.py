@@ -70,7 +70,8 @@ def _memory_need(diagram: YoungDiagram, d: int, samples: int | None = None) -> i
     vectors (the ascent, or verify's block resolution and saturating states)
     or more: maximize's N-1 row maps and Gram check in 256-row chunks, or
     verify's row maps and cross-check (a permuted stack, three ``(w, w)``
-    arrays per block).  verify may peak in its sample checks instead."""
+    arrays per block).  verify may peak in its sample checks: 13 vectors a
+    sample, x, P_t x, U x, V and a call on the last three with two buffers."""
     n = diagram.n_boxes
     f = dim_symmetric_group_irrep(diagram)
     vector = 16 * d**n
@@ -89,7 +90,7 @@ def _memory_need(diagram: YoungDiagram, d: int, samples: int | None = None) -> i
         return blocks + max(8 * rows * (n - 1) + gram, 16 * vector)
     maps = 8 * rows * (n + 1 + (n - 1) * (n - 2) // 2)
     cross = max((16 * k * w * (h + 3 * w) for (h, w), k in shapes.items()), default=0)
-    sample_checks = vector * (4 * min(2, samples) * f + 5 * samples)
+    sample_checks = 13 * samples * vector
     return max(sample_checks, blocks + maps + max(cross, 16 * vector))
 
 

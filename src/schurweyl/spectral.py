@@ -253,7 +253,7 @@ def verify_fixed_point(psi: TensorState, basis: WeightBlocks, k: int) -> float:
     Schmidt pair; the returned norm distance is near zero exactly for such
     states.  ``basis`` is the subspace's orthonormal basis as weight
     blocks, as :func:`block_basis` returns it.  Raises when it lives on
-    another space than psi, or psi is not (numerically) inside its span.
+    another space than psi, psi is off its span or k is no cut (1..N-1).
     """
     if (basis.d, basis.n) != (psi.local_dim, psi.n_factors):
         raise ValueError(
@@ -264,9 +264,9 @@ def verify_fixed_point(psi: TensorState, basis: WeightBlocks, k: int) -> float:
     inside = basis(vec)
     if np.linalg.norm(inside - vec) > 1e-6:
         raise ValueError("state lies outside the span of the basis")
-    u, _, vh = np.linalg.svd(vec.reshape(psi.local_dim**k, -1), full_matrices=False)
-    pair = np.multiply.outer(u[:, 0], vh[0]).reshape(-1)
-    proj = basis(pair)
+    top = schmidt_decompose(psi, k)
+    pair = np.multiply.outer(top.left_vectors[0].amplitudes, top.right_vectors[0].amplitudes)
+    proj = basis(pair.reshape(-1))
     nrm = np.linalg.norm(proj)
     if nrm == 0:
         return float(np.linalg.norm(vec))

@@ -5,7 +5,7 @@ Each check reports its worst residual; the CLI turns the list into an exit
 status and a table.  The five sample checks (idempotence, hermiticity,
 pairwise orthogonality, closed-form agreement, local-unitary covariance)
 share one loop over the tableaux with two batched projector calls per
-tableau, so the pairs cost no call of their own.  The block checks follow on
+tableau, none wider than three times the samples.  The block checks follow on
 the block's weight blocks (never dense), after the samples are freed; the
 Schmidt checks read each vector's last-digit slices, with no SVD.
 """
@@ -68,7 +68,10 @@ def _slice_norms(rows: np.ndarray, stack: np.ndarray, d: int) -> np.ndarray:
 def run_verification(
     diagram: YoungDiagram, d: int, seed: int = 0, samples: int = 5
 ) -> list[CheckResult]:
-    """Run the full per-diagram check suite and return one result per check."""
+    """Run the per-diagram check suite on ``samples`` >= 1 random states x.  Its
+    "pairwise orthogonality" is the largest ``|P_t V|``, V the sum of earlier ``P_s x``."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     rng = np.random.default_rng(seed)
     n = diagram.n_boxes
     tableaux = enumerate_standard_tableaux(diagram)
@@ -80,37 +83,33 @@ def run_verification(
     def record(name: str, residual: float, tol: float, detail: str = "") -> None:
         results.append(CheckResult(name, float(residual), tol, float(residual) <= tol, detail))
 
-    # Two projector calls per tableau t.  The first, on the samples x, gives
-    # hermiticity and, for the row- and column-ordered tableaux, closed-form
-    # agreement.  The second, on [P_t x | U x | P_s x for every tableau s
-    # already visited], U x and P_s x on the first two samples only, gives
-    # idempotence, covariance and orthogonality.  Walking the tableaux
-    # backwards applies P_t to P_s x for each s after t: every unordered pair
-    # once.  Each wide result is freed before the next wide call, and every
-    # sample array before the block is built.
+    # Two projector calls per tableau t: on the samples x for hermiticity
+    # and, at two tableaux, closed-form agreement; on [P_t x | U x | V] for
+    # idempotence, covariance and orthogonality.  If the P_s summed in V are
+    # pairwise orthogonal hermitian idempotents, their sum Q is a projector,
+    # so P_t V = P_t Q x vanishes exactly when each P_t P_s = P_t Q P_s does.
     closed_forms = {
         t: closed_form_projector(t, d)
         for t in (row_ordered_tableau(diagram), column_ordered_tableau(diagram))
     }
-    pairs = min(2, samples)
-    rotated = _rotated(unitary, sample_mat[:, :pairs], d, n)
-    later = np.empty((d**n, 0), dtype=complex)
+    rotated = _rotated(unitary, sample_mat, d, n)
+    visited = np.zeros_like(sample_mat)
     worst_idem = worst_herm = worst_orth = worst_closed = worst_cov = 0.0
-    for t in reversed(tableaux):
+    for t in tableaux:
         proj = projectors[t]._apply_raw(sample_mat)
         lhs = sample_mat.conj().T @ proj
         worst_herm = max(worst_herm, np.abs(lhs - lhs.conj().T).max())
         if t in closed_forms:
-            closed = closed_forms[t]._apply_raw(sample_mat) - proj
-            worst_closed = max(worst_closed, _column_norms(closed).max())
-        out = projectors[t]._apply_raw(np.concatenate([proj, rotated, later], axis=1))
-        worst_idem = max(worst_idem, _column_norms(out[:, :samples] - proj).max())
-        covariant = out[:, samples : samples + pairs] - _rotated(unitary, proj[:, :pairs], d, n)
-        worst_cov = max(worst_cov, _column_norms(covariant).max())
-        worst_orth = _column_norms(out[:, samples + pairs :]).max(initial=worst_orth)
-        later = np.concatenate([later, proj[:, :pairs]], axis=1)
+            closed = _column_norms(closed_forms[t]._apply_raw(sample_mat) - proj)
+            worst_closed = closed.max(initial=worst_closed)
+        out = projectors[t]._apply_raw(np.concatenate([proj, rotated, visited], axis=1))
+        out[:, : 2 * samples] -= np.concatenate([proj, _rotated(unitary, proj, d, n)], axis=1)
+        worst_idem = _column_norms(out[:, :samples]).max(initial=worst_idem)
+        worst_cov = _column_norms(out[:, samples : 2 * samples]).max(initial=worst_cov)
+        worst_orth = _column_norms(out[:, 2 * samples :]).max(initial=worst_orth)
+        visited += proj
         del out
-    del sample_mat, rotated, later, proj, closed, covariant
+    del sample_mat, rotated, visited, proj
     record("projector idempotence", worst_idem, 1e-10)
     record("projector hermiticity", worst_herm, 1e-10)
     record("pairwise orthogonality", worst_orth, 1e-10, f"{len(tableaux)} tableaux")

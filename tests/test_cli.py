@@ -55,6 +55,17 @@ class Phased(OperatorExpr):
         return phase.reshape((-1,) + (1,) * (arr.ndim - 1)) * super()._apply_raw(arr)
 
 
+class Plus(OperatorExpr):
+    """The operator plus another one."""
+
+    def __init__(self, op, other):
+        super().__init__(op.local_dim, op.n_factors, op.stages)
+        self.other = other
+
+    def _apply_raw(self, arr):
+        return super()._apply_raw(arr) + self.other._apply_raw(arr)
+
+
 class TestBound:
     def test_staircase_text(self, runner):
         result = runner.invoke(main, ["bound", "--partition", "3,2,1"])
@@ -150,17 +161,23 @@ class TestVerify:
         assert result.exit_code == 0, result.output
         assert [c["name"] for c in json.loads(result.output)["checks"]] == record
 
-    @pytest.mark.parametrize("fault, name", [
-        (lambda op, neighbour: neighbour, "pairwise orthogonality"),
+    @pytest.mark.parametrize("fault, name, intact", [
+        (lambda op, neighbour: neighbour, "pairwise orthogonality", ()),
         (lambda op, neighbour: OperatorExpr(
             op.local_dim, op.n_factors, op.stages + ((2, 1, ()),)),
-         "projector idempotence"),
+         "projector idempotence", ()),
         (lambda op, neighbour: Phased(op.local_dim, op.n_factors, op.stages),
-         "local-unitary covariance"),
-    ], ids=["neighbour", "twice", "phased"])
-    def test_sample_check_sees_faulty_projector(self, runner, monkeypatch, fault, name):
+         "local-unitary covariance", ()),
+        (lambda op, neighbour: Plus(op, neighbour), "pairwise orthogonality",
+         ("projector idempotence", "projector hermiticity")),
+    ], ids=["neighbour", "twice", "phased", "overlapping"])
+    def test_sample_check_sees_faulty_projector(
+        self, runner, monkeypatch, fault, name, intact
+    ):
         # the second tableau of (2,2,1) gets a faulty projector: the first
-        # tableau's, twice its own, or its own followed by a diagonal phase
+        # tableau's, twice its own, its own followed by a diagonal phase, or
+        # its own plus the first's.  That sum is still a hermitian
+        # idempotent, but its range overlaps the first sector's
         import schurweyl.verification as verification
 
         first, second = enumerate_standard_tableaux(YoungDiagram((2, 2, 1)))[:2]
@@ -171,6 +188,8 @@ class TestVerify:
             else project(t, d),
         )
         assert verify_check(runner, "2,2,1", 3, name)["passed"] is False
+        for other in intact:
+            assert verify_check(runner, "2,2,1", 3, other)["passed"] is True
 
     def test_projector_calls_within_budget(self, monkeypatch):
         # two dense calls per tableau for the sample checks, one per tableau
@@ -189,6 +208,30 @@ class TestVerify:
         run_verification(diagram, 3, samples=2)
         f = len(enumerate_standard_tableaux(diagram))
         assert len(calls) <= 3 * f + 2 * len(removable_boxes(diagram)) + 3
+
+    def test_sample_calls_stay_narrow(self, monkeypatch):
+        # columns of the dense calls, linear in f: per tableau the 2
+        # samples, then 3 * 2 for [P_t x | U x | V] with V the running sum
+        # of the visited sectors, and the block resolution's 3 combinations;
+        # one state in each of the two calls per corner; the 2 samples in
+        # each of the two closed forms, and the coherent state
+        columns = []
+        apply_raw = OperatorExpr._apply_raw
+
+        def counted(self, arr):
+            columns.append(arr.size // len(arr))
+            return apply_raw(self, arr)
+
+        monkeypatch.setattr(OperatorExpr, "_apply_raw", counted)
+        diagram = YoungDiagram((3, 2, 2))
+        run_verification(diagram, 3, samples=2)
+        f = len(enumerate_standard_tableaux(diagram))
+        corners = len(removable_boxes(diagram))
+        assert sum(columns) <= (2 + 3 * 2 + 3) * f + 2 * corners + 2 * 2 + 1
+
+    def test_rejects_samples_below_one(self):
+        with pytest.raises(ValueError, match="samples"):
+            run_verification(YoungDiagram((2, 1)), 2, samples=0)
 
     def test_cross_check_sees_inverse_action(self, runner, monkeypatch):
         # seed 0 draws a sigma whose inverse acts alike on (3,2,1)/d3, and
@@ -420,10 +463,10 @@ class TestMemoryEstimate:
         # maximize: the blocks and the ascent's 16 vectors, which outweigh
         # the build's two row maps of 6 rows and the Gram check of a block
         (["maximize", "--partition", "2,1", "--d", "2"], 16 * 3 * 2 * 2 + 16 * 16 * 8),
-        # verify: its sample checks, 4 * 2 pairs * 2 tableaux + 5 * 5 samples,
+        # verify: its sample checks, 13 vectors for each of the 5 samples,
         # outweigh the blocks, 5 row maps and 16 vectors,
         # 16 * 3 * 2 * 2 + 8 * 6 * 5 + 16 * 16 * 8
-        (["verify", "--partition", "2,1", "--d", "2"], 16 * 8 * (4 * 2 * 2 + 5 * 5)),
+        (["verify", "--partition", "2,1", "--d", "2"], 16 * 8 * 13 * 5),
         # its dense block would be 14.1 GB; its weight blocks hold
         # f * 120960 amplitudes, f = 168, beside the ascent's 16 vectors
         (["maximize", "--partition", "3,3,2,1", "--d", "4"],
@@ -441,7 +484,7 @@ class TestMemoryEstimate:
     def test_run_within_physical_memory_goes_ahead(self, runner, monkeypatch):
         import schurweyl.cli as cli
 
-        monkeypatch.setattr(cli, "_physical_memory", lambda: 16 * 8 * (4 * 2 * 2 + 5 * 5))
+        monkeypatch.setattr(cli, "_physical_memory", lambda: 16 * 8 * 13 * 5)
         result = runner.invoke(main, ["verify", "--partition", "2,1", "--d", "2"])
         assert result.exit_code == 0, result.output
 
@@ -458,8 +501,9 @@ class TestMemoryEstimate:
         # the estimate against the memory the run takes, as tracemalloc
         # sees numpy's allocations.  maximize peaks with its weight blocks
         # and the ascent's vectors, or at (4,3,2), d = 3 (f = 168, dim V =
-        # 8) with the Gram check of the widest block; the verify cases
-        # peak in their sample checks
+        # 8) with the Gram check of the widest block.  verify peaks in its
+        # block checks at (3,2,1), d = 4, and in its sample checks, 13
+        # vectors per sample, in the other two cases
         import schurweyl.cli as cli
 
         diagram = YoungDiagram.from_string(partition)

@@ -389,6 +389,15 @@ class TestFixedPoint:
         with pytest.raises(ValueError, match="outside"):
             verify_fixed_point(outside, basis, 3)
 
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_rejects_cut_outside_range(self, k):
+        # a (2,1), d = 2 block state: at k = 0 or k = N any state is its own
+        # top Schmidt pair, and would read as a fixed point
+        basis = block_basis(YoungDiagram((2, 1)), 2)
+        psi = TensorState(2, 3, basis.scatter()[:, 0])
+        with pytest.raises(ValueError, match=r"cut must be in 1\.\.2"):
+            verify_fixed_point(psi, basis, k)
+
     def test_rejects_state_on_another_space(self):
         basis = block_basis(YoungDiagram((2, 2)), 2)
         other = TensorState.product_basis(3, [0, 0, 0, 0])
