@@ -1,71 +1,90 @@
 """Exact hook-length entanglement bounds for Young-diagram subspaces of
 tensor-product spaces, with the symmetric-group projector machinery to
-realize, verify and saturate them numerically."""
+realize, verify and saturate them numerically.
 
-from .young import (
-    Box,
-    StandardTableau,
-    YoungDiagram,
-    axial_distance,
-    bound_for_box,
-    column_ordered_tableau,
-    dim_symmetric_group_irrep,
-    dim_unitary_group_irrep,
-    dominates,
-    entropy_lower_bound,
-    enumerate_semistandard_tableaux,
-    enumerate_standard_tableaux,
-    hook_length,
-    max_schmidt_bound,
-    partitions_of,
-    removable_boxes,
-    remove_largest,
-    row_ordered_tableau,
-    split_tableau,
-    tableau_with_largest_in,
-)
-from .orthogonal_form import (
-    IrrepMatrix,
-    Permutation,
-    adjacent_transposition_matrix,
-    permutation_matrix,
-    permutation_sign,
-)
-from .tensor_space import (
-    OperatorExpr,
-    TensorState,
-    WeightBlocks,
-    antisymmetrizer,
-    apply_local_unitary,
-    apply_permutation,
-    block_basis,
-    closed_form_projector,
-    column_antisymmetrizer,
-    orthogonal_projector,
-    random_state,
-    row_symmetrizer,
-    subspace_basis,
-    swap_factors,
-    symmetrizer,
-    young_projection,
-)
-from .spectral import (
-    MaximizationReport,
-    MaximizeConfig,
-    SchmidtResult,
-    entanglement_entropy,
-    max_lambda1_over_subspace,
-    reduced_density_matrix,
-    schmidt_decompose,
-    verify_fixed_point,
-)
-from .special_states import (
-    OrthonormalFrame,
-    coherent_state,
-    coleman_equality_check,
-    optimizer_state,
-    slater,
-)
-from .verification import CheckResult, run_verification
+Every public name loads its home module on first use (PEP 562), so
+importing the package loads no module of it, and the exact layer never
+loads numpy."""
 
+import importlib
+
+# home module -> the names the package exports from it
+_EXPORTS = {
+    "young": (
+        "Box",
+        "StandardTableau",
+        "YoungDiagram",
+        "axial_distance",
+        "bound_for_box",
+        "column_ordered_tableau",
+        "dim_symmetric_group_irrep",
+        "dim_unitary_group_irrep",
+        "dominates",
+        "entropy_lower_bound",
+        "enumerate_semistandard_tableaux",
+        "enumerate_standard_tableaux",
+        "hook_length",
+        "max_schmidt_bound",
+        "partitions_of",
+        "removable_boxes",
+        "remove_largest",
+        "row_ordered_tableau",
+        "split_tableau",
+        "tableau_with_largest_in",
+    ),
+    "orthogonal_form": (
+        "IrrepMatrix",
+        "Permutation",
+        "adjacent_transposition_matrix",
+        "permutation_matrix",
+        "permutation_sign",
+    ),
+    "tensor_space": (
+        "OperatorExpr",
+        "TensorState",
+        "WeightBlocks",
+        "antisymmetrizer",
+        "apply_local_unitary",
+        "apply_permutation",
+        "block_basis",
+        "closed_form_projector",
+        "column_antisymmetrizer",
+        "orthogonal_projector",
+        "random_state",
+        "row_symmetrizer",
+        "subspace_basis",
+        "swap_factors",
+        "symmetrizer",
+        "young_projection",
+    ),
+    "spectral": (
+        "MaximizationReport",
+        "MaximizeConfig",
+        "SchmidtResult",
+        "entanglement_entropy",
+        "max_lambda1_over_subspace",
+        "reduced_density_matrix",
+        "schmidt_decompose",
+        "verify_fixed_point",
+    ),
+    "special_states": (
+        "OrthonormalFrame",
+        "coherent_state",
+        "coleman_equality_check",
+        "optimizer_state",
+        "slater",
+    ),
+    "verification": ("CheckResult", "run_verification"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOME)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value

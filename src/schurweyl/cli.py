@@ -8,6 +8,7 @@ byte-identical for fixed flags and seed.
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import json
 import math
@@ -17,14 +18,6 @@ from dataclasses import asdict
 
 import click
 
-from .special_states import optimizer_state
-from .spectral import (
-    MaximizeConfig,
-    max_lambda1_over_subspace,
-    schmidt_decompose,
-)
-from .tensor_space import block_basis
-from .verification import CheckResult, run_verification
 from .young import (
     YoungDiagram,
     bound_for_box,
@@ -39,6 +32,37 @@ from .young import (
 )
 
 SCHEMA = "1"
+
+# The numerical names verify and maximize use -> their home modules.  They
+# load on first use, and numpy with them, so the exact commands never load
+# numpy; the order is the package's own import order (tensor_space first).
+# They stay attributes of this module: a name rebound here from outside is
+# the object the commands call.
+_NUMERICAL = {
+    "block_basis": "tensor_space",
+    "MaximizeConfig": "spectral",
+    "max_lambda1_over_subspace": "spectral",
+    "schmidt_decompose": "spectral",
+    "optimizer_state": "special_states",
+    "CheckResult": "verification",
+    "run_verification": "verification",
+}
+
+
+def __getattr__(name: str):
+    if name not in _NUMERICAL:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_NUMERICAL[name]}", __package__), name)
+    globals()[name] = value
+    return value
+
+
+def _load_numerical() -> None:
+    """Bind every numerical name as a global of this module, keeping any
+    that is already bound."""
+    for name in _NUMERICAL:
+        if name not in globals():
+            __getattr__(name)
 
 
 def _parse_partition(text: str) -> YoungDiagram:
@@ -229,6 +253,7 @@ def verify(ctx: click.Context, partition: str, d: int | None, seed: int,
     _require_boxes(diagram, 1)
     d = diagram.n_rows if d is None else d
     _check_memory(diagram, d, samples)
+    _load_numerical()
     results = run_verification(diagram, d, seed=seed, samples=samples)
     ok = all(r.passed for r in results)
     payload = {
@@ -274,6 +299,7 @@ def maximize(ctx: click.Context, partition: str, d: int | None, cut: int | None,
     n = diagram.n_boxes
     d = diagram.n_rows if d is None else d
     cut = n - 1 if cut is None else cut
+    _load_numerical()  # MaximizeConfig checks the ascent options
     try:
         config = MaximizeConfig(
             restarts=restarts, max_iterations=max_iterations, tol=tolerance, seed=seed,

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -515,6 +518,10 @@ class TestMemoryEstimate:
         result = runner.invoke(main, args)
         assert result.exit_code == 2, result.output
         assert f"about {need} bytes" in result.output
+        # the first default_rng of a process imports numpy.random; done
+        # here, its import is not counted as the run's arrays
+        import numpy.random  # noqa: F401
+
         tracemalloc.start()
         try:
             if command == "maximize":
@@ -557,6 +564,49 @@ def test_bad_option_is_usage_error(runner, args):
     assert result.exit_code == 2, result.output
     assert type(result.exception) is SystemExit
     assert "Error" in result.output
+
+
+# Runs one command as ``python -m schurweyl`` would (or, given no arguments,
+# a bare ``import schurweyl``) and prints, as its last line of standard
+# error, the modules loaded when the process exits.
+LOADED_MODULES = """
+import atexit, runpy, sys
+
+atexit.register(lambda: print(*sorted(sys.modules), file=sys.stderr))
+if sys.argv[1:]:
+    runpy.run_module("schurweyl", run_name="__main__", alter_sys=True)
+else:
+    import schurweyl
+"""
+
+
+def loaded_modules(args):
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_MODULES, *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    return proc.returncode, set(proc.stderr.splitlines()[-1].split())
+
+
+@pytest.mark.parametrize("args, code", [
+    ([], 0),
+    (["--help"], 0),
+    (["bound", "--partition", "3,2,1"], 0),
+    (["sweep", "--max-n", "6", "--max-d", "3"], 0),
+    (["tableaux", "--partition", "3,2"], 0),
+    # verify's usage errors, of an option and of memory, come before numpy
+    (["verify", "--partition", "2,1", "--samples", "0"], 2),
+    (["verify", "--partition", "8,8,8,8,8", "--d", "8"], 2),
+], ids=["import", "help", "bound", "sweep", "tableaux", "verify-samples-0",
+        "verify-over-memory"])
+def test_exact_commands_never_load_numpy(args, code):
+    returncode, modules = loaded_modules(args)
+    assert returncode == code
+    assert "schurweyl" in modules
+    assert not {"numpy", "schurweyl.tensor_space"} & modules
 
 
 # sha256 of the JSON output, recorded before the exact layer was rewritten;

@@ -1,0 +1,67 @@
+"""The package's public names: each resolves, on first use, to the object
+its home module defines, and ``__all__`` lists exactly them."""
+
+import importlib
+
+import pytest
+
+import schurweyl
+
+# home module -> the names the package has exported from it since before
+# they loaded on first use
+PUBLIC = {
+    "young": [
+        "Box", "StandardTableau", "YoungDiagram", "axial_distance", "bound_for_box",
+        "column_ordered_tableau", "dim_symmetric_group_irrep", "dim_unitary_group_irrep",
+        "dominates", "entropy_lower_bound", "enumerate_semistandard_tableaux",
+        "enumerate_standard_tableaux", "hook_length", "max_schmidt_bound", "partitions_of",
+        "removable_boxes", "remove_largest", "row_ordered_tableau", "split_tableau",
+        "tableau_with_largest_in",
+    ],
+    "orthogonal_form": [
+        "IrrepMatrix", "Permutation", "adjacent_transposition_matrix", "permutation_matrix",
+        "permutation_sign",
+    ],
+    "tensor_space": [
+        "OperatorExpr", "TensorState", "WeightBlocks", "antisymmetrizer",
+        "apply_local_unitary", "apply_permutation", "block_basis", "closed_form_projector",
+        "column_antisymmetrizer", "orthogonal_projector", "random_state", "row_symmetrizer",
+        "subspace_basis", "swap_factors", "symmetrizer", "young_projection",
+    ],
+    "spectral": [
+        "MaximizationReport", "MaximizeConfig", "SchmidtResult", "entanglement_entropy",
+        "max_lambda1_over_subspace", "reduced_density_matrix", "schmidt_decompose",
+        "verify_fixed_point",
+    ],
+    "special_states": [
+        "OrthonormalFrame", "coherent_state", "coleman_equality_check", "optimizer_state",
+        "slater",
+    ],
+    "verification": ["CheckResult", "run_verification"],
+}
+NAMES = [name for names in PUBLIC.values() for name in names]
+
+
+@pytest.mark.parametrize("home, name", [
+    (home, name) for home, names in PUBLIC.items() for name in names
+])
+def test_name_resolves_to_its_home_object(home, name):
+    module = importlib.import_module(f"schurweyl.{home}")
+    assert getattr(schurweyl, name) is getattr(module, name)
+
+
+def test_all_lists_the_public_names():
+    assert schurweyl.__all__ == NAMES
+
+
+def test_star_import_binds_every_name():
+    namespace = {}
+    exec("from schurweyl import *", namespace)
+    del namespace["__builtins__"]
+    assert namespace.keys() == set(NAMES)
+    assert all(namespace[name] is getattr(schurweyl, name) for name in NAMES)
+
+
+def test_unknown_name_is_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        schurweyl.nope

@@ -25,10 +25,13 @@ def run_cli(args, spans_path=None):
 
 
 @pytest.mark.parametrize("args, layers", [
+    # verification, spectral.ascent, spectral.schmidt and special_states
+    # come from the names cli binds on first use, which the tracer rebinds
     (["verify", "--partition", "2,1", "--d", "2", "--samples", "1"],
-     {"tensor_space.block_basis", "spectral.fixed_point"}),
+     {"tensor_space.block_basis", "spectral.fixed_point", "verification"}),
     (["maximize", "--partition", "2,1", "--d", "2", "--restarts", "1"],
-     {"tensor_space.block_basis"}),
+     {"tensor_space.block_basis", "spectral.ascent", "spectral.schmidt",
+      "special_states"}),
 ], ids=["verify", "maximize"])
 def test_traced_run_matches_plain_run(tmp_path, args, layers):
     plain = run_cli(args)
