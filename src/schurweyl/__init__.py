@@ -24,6 +24,8 @@ _EXPORTS = {
         "enumerate_semistandard_tableaux",
         "enumerate_standard_tableaux",
         "hook_length",
+        "iter_partitions",
+        "iter_standard_tableaux",
         "max_schmidt_bound",
         "partitions_of",
         "removable_boxes",

@@ -15,6 +15,7 @@ import math
 import os
 from collections import Counter
 from dataclasses import asdict
+from typing import Iterable, Iterator
 
 import click
 
@@ -25,9 +26,9 @@ from .young import (
     dim_unitary_group_irrep,
     entropy_from_bound,
     enumerate_semistandard_tableaux,
-    enumerate_standard_tableaux,
+    iter_partitions,
+    iter_standard_tableaux,
     max_schmidt_bound,
-    partitions_of,
     removable_boxes,
 )
 
@@ -132,13 +133,30 @@ def _check_memory(diagram: YoungDiagram, d: int, samples: int | None = None) -> 
         )
 
 
-def _emit_json(payload: dict) -> None:
-    # Streamed in batches of encoder chunks, so a large sweep never holds
-    # its whole JSON text; the bytes equal json.dumps(payload, indent=2).
-    chunks = json.JSONEncoder(indent=2).iterencode(payload)
-    while batch := "".join(itertools.islice(chunks, 4096)):
-        click.echo(batch, nl=False)
-    click.echo()
+def _emit_json(payload: dict, key: str | None = None, items: Iterable = ()) -> None:
+    # The bytes equal json.dumps(payload, indent=2) or, when key is given,
+    # json.dumps({**payload, key: list(items)}, indent=2), and neither the
+    # whole text nor the item list is ever held.  A payload is printed in
+    # batches of encoder chunks.  Items are encoded 256 at a time, each group
+    # as one list (one encode call per item measured slower), cut to its
+    # elements and shifted one level in; a JSON string never holds a raw
+    # newline, so every newline in the text is indentation.
+    encoder = json.JSONEncoder(indent=2)
+    if key is None:
+        chunks = encoder.iterencode(payload)
+        while batch := "".join(itertools.islice(chunks, 4096)):
+            click.echo(batch, nl=False)
+        click.echo()
+        return
+    head = encoder.encode({**payload, key: []})  # ends in '[]\n}'
+    items = iter(items)
+    groups = iter(lambda: encoder.encode(list(itertools.islice(items, 256))), "[]")
+    opened = False
+    for text in groups:
+        elements = text[1:-2].replace("\n", "\n  ")
+        click.echo(("," if opened else head[:-4] + "[") + elements, nl=False)
+        opened = True
+    click.echo("\n  ]\n}" if opened else head)
 
 
 def _echo_checks(results: list[CheckResult]) -> None:
@@ -167,6 +185,25 @@ def _bound_payload(diagram: YoungDiagram) -> dict:
         "witness_box": {"row": witness.row, "col": witness.col},
         "entropy_lower_bound": entropy_from_bound(value),
     }
+
+
+def _tableau_entries(diagram: YoungDiagram) -> Iterator[dict]:
+    for t in iter_standard_tableaux(diagram):
+        flags = []
+        if t.is_row_ordered():
+            flags.append("row-ordered")
+        if t.is_column_ordered():
+            flags.append("column-ordered")
+        yield {"tableau": str(t), "flags": flags}
+
+
+def _sweep_entries(max_n: int, max_d: int | None) -> Iterator[dict]:
+    for diagram in iter_partitions(max_n):
+        entry = _bound_payload(diagram)
+        entry["dim_symmetric_group_irrep"] = dim_symmetric_group_irrep(diagram)
+        if max_d is not None:
+            entry["dim_unitary_group_irrep"] = dim_unitary_group_irrep(diagram, max_d)
+        yield entry
 
 
 @click.group()
@@ -206,14 +243,6 @@ def tableaux(partition: str, d: int | None, fmt: str) -> None:
     diagram = _parse_partition(partition)
     _require_boxes(diagram, 1)
     d = diagram.n_rows if d is None else d
-    listing = []
-    for t in enumerate_standard_tableaux(diagram):
-        flags = []
-        if t.is_row_ordered():
-            flags.append("row-ordered")
-        if t.is_column_ordered():
-            flags.append("column-ordered")
-        listing.append({"tableau": str(t), "flags": flags})
     payload = {
         "schema": SCHEMA,
         "command": "tableaux",
@@ -221,13 +250,13 @@ def tableaux(partition: str, d: int | None, fmt: str) -> None:
         "d": d,
         "dim_symmetric_group_irrep": dim_symmetric_group_irrep(diagram),
         "dim_unitary_group_irrep": dim_unitary_group_irrep(diagram, d),
-        "tableaux": listing,
     }
+    listing = _tableau_entries(diagram)
     if fmt == "json":
-        _emit_json(payload)
+        _emit_json(payload, "tableaux", listing)
         return
     click.echo(
-        f"partition {diagram}: {len(listing)} standard tableaux, "
+        f"partition {diagram}: {payload['dim_symmetric_group_irrep']} standard tableaux, "
         f"dim S = {payload['dim_symmetric_group_irrep']}, "
         f"dim V(d={d}) = {payload['dim_unitary_group_irrep']}"
     )
@@ -401,22 +430,15 @@ def maximize(ctx: click.Context, partition: str, d: int | None, cut: int | None,
               show_default=True)
 def sweep(max_n: int, max_d: int | None, fmt: str) -> None:
     """Bound table over all partitions of max-n boxes."""
-    rows = []
-    for diagram in partitions_of(max_n):
-        entry = _bound_payload(diagram)
-        entry["dim_symmetric_group_irrep"] = dim_symmetric_group_irrep(diagram)
-        if max_d is not None:
-            entry["dim_unitary_group_irrep"] = dim_unitary_group_irrep(diagram, max_d)
-        rows.append(entry)
     payload = {
         "schema": SCHEMA,
         "command": "sweep",
         "max_n": max_n,
         "max_d": max_d,
-        "partitions": rows,
     }
+    rows = _sweep_entries(max_n, max_d)
     if fmt == "json":
-        _emit_json(payload)
+        _emit_json(payload, "partitions", rows)
         return
     click.echo(f"partitions of {max_n}:")
     for entry in rows:

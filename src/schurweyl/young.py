@@ -5,9 +5,10 @@ rational arithmetic; floating point enters only when taking logarithms.
 A diagram caches its conjugate, so a hook length costs O(1); the corners are
 found in one scan of the rows; each corner bound is a single ``Fraction``
 built from integer products; and both dimension formulas share one integer
-hook product.  Standard tableaux are enumerated on plain row tuples and each
-is validated once, as it is returned; semistandard fillings, which index a
-weight basis of the unitary-group factor, are plain row tuples throughout.
+hook product.  Partitions are generated one at a time (ZS1) from O(N) state.
+Standard tableaux are enumerated on plain row tuples and each is validated
+once, as it is returned; semistandard fillings, which index a weight basis of
+the unitary-group factor, are plain row tuples throughout.
 """
 
 from __future__ import annotations
@@ -220,22 +221,49 @@ def dim_unitary_group_irrep(diagram: YoungDiagram, d: int) -> int:
     return q
 
 
-@lru_cache(maxsize=None)
-def _partition_tuples(n: int, max_part: int) -> tuple[tuple[int, ...], ...]:
+def iter_partitions(n: int) -> Iterator[YoungDiagram]:
+    """All partitions of n, in descending lexicographic order, one at a time.
+
+    ZS1 (Zoghbi and Stojmenovic, Int. J. Comput. Math. 70 (1998) 319): the
+    parts sit in one list of n entries that are all 1 past ``h``, the last
+    part above 1.  Each step lowers that part by one and refills the parts
+    after it with the largest allowed values, so the state stays O(n) however
+    many partitions have been yielded.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     if n == 0:
-        return ((),)
-    out = []
-    for first in range(min(n, max_part), 0, -1):
-        for rest in _partition_tuples(n - first, first):
-            out.append((first, *rest))
-    return tuple(out)
+        yield YoungDiagram(())
+        return
+    x = [1] * n
+    x[0] = n
+    m, h = 1, 0  # x[:m] is the partition
+    yield YoungDiagram((n,))
+    while x[0] != 1:
+        if x[h] == 2:
+            m += 1
+            x[h] = 1
+            h -= 1
+        else:
+            r = x[h] - 1
+            t = m - h  # the boxes to refill: one off x[h], and the 1s after it
+            x[h] = r
+            while t >= r:
+                h += 1
+                x[h] = r
+                t -= r
+            m = h + 1
+            if t:
+                m += 1
+                if t > 1:
+                    h += 1
+                    x[h] = t
+        yield YoungDiagram(tuple(x[:m]))
 
 
 def partitions_of(n: int) -> list[YoungDiagram]:
     """All partitions of n, in descending lexicographic order."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return [YoungDiagram(p) for p in _partition_tuples(n, max(n, 1))]
+    return list(iter_partitions(n))
 
 
 def dominates(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
@@ -386,17 +414,27 @@ def _row_word(rows: Rows) -> tuple[int, ...]:
     return tuple(chain.from_iterable(rows))
 
 
+def iter_standard_tableaux(diagram: YoungDiagram) -> Iterator[StandardTableau]:
+    """The standard tableaux of a shape, sorted by row-reading word, each
+    validated as it is yielded.  No tableau is kept; the fillings' row
+    tuples are memoized per shape."""
+    for rows in sorted(_standard_fillings(diagram.rows), key=_row_word):
+        yield StandardTableau(rows)
+
+
 @lru_cache(maxsize=None)
 def _standard_tableaux(diagram: YoungDiagram) -> tuple[StandardTableau, ...]:
-    fillings = sorted(_standard_fillings(diagram.rows), key=_row_word)
-    return tuple(StandardTableau(rows) for rows in fillings)
+    return tuple(iter_standard_tableaux(diagram))
 
 
 def enumerate_standard_tableaux(diagram: YoungDiagram) -> list[StandardTableau]:
     """All standard tableaux of a shape, sorted by row-reading word.
 
     The fillings are built as row tuples; each returned tableau is the only
-    validated ``StandardTableau`` made for it.
+    validated ``StandardTableau`` made for it.  The tableaux of a shape are
+    kept for the life of the process, since the numerical layers ask for
+    them once per permutation matrix; :func:`iter_standard_tableaux` keeps
+    none.
     """
     return list(_standard_tableaux(diagram))
 

@@ -1,3 +1,5 @@
+import contextlib
+import gc
 import hashlib
 import json
 import os
@@ -11,12 +13,24 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from schurweyl.cli import main
+from schurweyl.cli import _emit_json, main
 from schurweyl.orthogonal_form import IrrepMatrix, permutation_matrix
 from schurweyl.spectral import MaximizeConfig, max_lambda1_over_subspace
 from schurweyl.tensor_space import OperatorExpr, WeightBlocks, block_basis
 from schurweyl.verification import CheckResult, run_verification
-from schurweyl.young import YoungDiagram, enumerate_standard_tableaux, removable_boxes
+from schurweyl.young import (
+    YoungDiagram,
+    bound_for_box,
+    column_ordered_tableau,
+    dim_symmetric_group_irrep,
+    dim_unitary_group_irrep,
+    entropy_lower_bound,
+    enumerate_standard_tableaux,
+    max_schmidt_bound,
+    partitions_of,
+    removable_boxes,
+    row_ordered_tableau,
+)
 
 EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
 # the benchmark's verify ops: partition and d, each run at seed 0 with 2 samples
@@ -119,6 +133,38 @@ class TestTableaux:
         payload = json.loads(result.output)
         assert payload["dim_symmetric_group_irrep"] == 2
         assert payload["dim_unitary_group_irrep"] == 1
+
+    @pytest.mark.parametrize("partition, d", [
+        ("1", None), ("2,2", None), ("3,2,1", None), ("3,2,1", 2),
+    ])
+    def test_json_is_json_dumps_of_the_full_payload(self, runner, partition, d):
+        # the listing is streamed; its bytes are those of the whole payload
+        diagram = YoungDiagram.from_string(partition)
+        args = ["tableaux", "--partition", partition, "--format", "json"]
+        if d is not None:
+            args += ["--d", str(d)]
+        d = diagram.n_rows if d is None else d
+        listing = []
+        for t in enumerate_standard_tableaux(diagram):
+            flags = [
+                flag for flag, ordered in (
+                    ("row-ordered", t == row_ordered_tableau(diagram)),
+                    ("column-ordered", t == column_ordered_tableau(diagram)),
+                ) if ordered
+            ]
+            listing.append({"tableau": str(t), "flags": flags})
+        payload = {
+            "schema": "1",
+            "command": "tableaux",
+            "partition": partition,
+            "d": d,
+            "dim_symmetric_group_irrep": dim_symmetric_group_irrep(diagram),
+            "dim_unitary_group_irrep": dim_unitary_group_irrep(diagram, d),
+            "tableaux": listing,
+        }
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert result.output == json.dumps(payload, indent=2) + "\n"
 
 
 class TestVerify:
@@ -442,6 +488,127 @@ class TestSweep:
 
     def test_bad_max_n(self, runner):
         assert runner.invoke(main, ["sweep", "--max-n", "1"]).exit_code == 2
+
+    @pytest.mark.parametrize("max_d", [None, 4])
+    @pytest.mark.parametrize("max_n", range(2, 13))
+    def test_json_is_json_dumps_of_the_full_payload(self, runner, max_n, max_d):
+        # the table is streamed; its bytes are those of the whole payload
+        entries = []
+        for diagram in partitions_of(max_n):
+            value, witness = max_schmidt_bound(diagram)
+            entry = {
+                "partition": str(diagram),
+                "n_boxes": max_n,
+                "boxes": [
+                    {"row": box.row, "col": box.col, "bound": str(bound_for_box(diagram, box))}
+                    for box in removable_boxes(diagram)
+                ],
+                "max_bound": str(value),
+                "witness_box": {"row": witness.row, "col": witness.col},
+                "entropy_lower_bound": entropy_lower_bound(diagram),
+                "dim_symmetric_group_irrep": dim_symmetric_group_irrep(diagram),
+            }
+            if max_d is not None:
+                entry["dim_unitary_group_irrep"] = dim_unitary_group_irrep(diagram, max_d)
+            entries.append(entry)
+        payload = {
+            "schema": "1", "command": "sweep", "max_n": max_n, "max_d": max_d,
+            "partitions": entries,
+        }
+        args = ["sweep", "--max-n", str(max_n), "--format", "json"]
+        if max_d is not None:
+            args += ["--max-d", str(max_d)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert result.output == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("count", [0, 1, 256, 257, 513])
+def test_emit_json_streams_the_items_as_json_dumps(capsys, count):
+    # around the boundaries of the groups of 256 items encoded at once; the
+    # items nest lists and objects, empty and not, and hold escaped newlines
+    payload = {"schema": "1", "nested": {"a": [1, 2], "b": {}}, "empty": []}
+    items = [
+        {"i": i, "text": f"line\n{i}", "list": [i, {"x": []}, "a\nb"], "none": {}}
+        if i % 3 else [i, "\n", []]
+        for i in range(count)
+    ]
+    _emit_json(payload, "items", iter(items))
+    assert capsys.readouterr().out == json.dumps({**payload, "items": items}, indent=2) + "\n"
+
+
+class Discard:
+    """A standard output that keeps nothing it is given."""
+
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def listing_peak(args):
+    """Traced peak of one in-process command, less the interpreter's free lists.
+
+    The command keeps nothing once it returns, but the interpreter keeps up
+    to 2000 freed tuples of each small length for reuse, and a long listing
+    fills those lists; a full collection empties them, so the memory it
+    gives back is taken off the peak.  What the command itself keeps (a
+    cache, say) is not given back and stays counted."""
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(Discard()):
+            main(args, standalone_mode=False)
+        current, peak = tracemalloc.get_traced_memory()
+        gc.collect()
+        return peak - (current - tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+
+
+# Runs its arguments as a child and prints the child's exit code and peak
+# RSS.  On Linux a child's ru_maxrss counts the RSS of the process that
+# spawned it, so the command is spawned from this small process rather than
+# from the test process.
+CHILD_MAX_RSS = """
+import os, subprocess, sys
+child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(child.pid, 0)
+child.returncode = os.waitstatus_to_exitcode(status)
+print(child.returncode, usage.ru_maxrss)
+"""
+
+
+def child_max_rss(args):
+    """Peak RSS of one ``python -m schurweyl`` process, in the platform's
+    ``ru_maxrss`` unit."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD_MAX_RSS, sys.executable, "-m", "schurweyl", *args],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    code, rss = map(int, proc.stdout.split())
+    assert code == 0, proc.stderr
+    return rss
+
+
+class TestListingMemory:
+    # sweep prints each entry as it is made, so its memory does not grow
+    # with the number of partitions: 627 at N = 20, 5604 at N = 30 and
+    # 37338 at N = 40
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_sweep_memory_stays_flat(self, fmt):
+        small = listing_peak(["sweep", "--max-n", "20", "--format", fmt])
+        large = listing_peak(["sweep", "--max-n", "30", "--format", fmt])
+        assert large <= 1.5 * small, (small, large)
+
+    @pytest.mark.slow
+    def test_sweep_peak_rss_stays_flat(self):
+        small = child_max_rss(["sweep", "--max-n", "20", "--max-d", "4", "--format", "json"])
+        large = child_max_rss(["sweep", "--max-n", "40", "--max-d", "4", "--format", "json"])
+        assert large < 1.5 * small, (small, large)
 
 
 @pytest.mark.parametrize("args", [

@@ -7,16 +7,15 @@ import pytest
 
 import schurweyl
 
-# home module -> the names the package has exported from it since before
-# they loaded on first use
+# home module -> the names the package exports from it
 PUBLIC = {
     "young": [
         "Box", "StandardTableau", "YoungDiagram", "axial_distance", "bound_for_box",
         "column_ordered_tableau", "dim_symmetric_group_irrep", "dim_unitary_group_irrep",
         "dominates", "entropy_lower_bound", "enumerate_semistandard_tableaux",
-        "enumerate_standard_tableaux", "hook_length", "max_schmidt_bound", "partitions_of",
-        "removable_boxes", "remove_largest", "row_ordered_tableau", "split_tableau",
-        "tableau_with_largest_in",
+        "enumerate_standard_tableaux", "hook_length", "iter_partitions",
+        "iter_standard_tableaux", "max_schmidt_bound", "partitions_of", "removable_boxes",
+        "remove_largest", "row_ordered_tableau", "split_tableau", "tableau_with_largest_in",
     ],
     "orthogonal_form": [
         "IrrepMatrix", "Permutation", "adjacent_transposition_matrix", "permutation_matrix",

@@ -21,6 +21,8 @@ from schurweyl.young import (
     enumerate_semistandard_tableaux,
     enumerate_standard_tableaux,
     hook_length,
+    iter_partitions,
+    iter_standard_tableaux,
     max_schmidt_bound,
     partitions_of,
     removable_boxes,
@@ -292,6 +294,44 @@ class TestDimensions:
         assert len(partitions_of(8)) == 22
 
 
+def reference_partitions(n, max_part):
+    # the recursion partitions_of used before ZS1: the first part, then the
+    # partitions of the rest with parts no larger
+    if n == 0:
+        return [()]
+    return [
+        (first, *rest)
+        for first in range(min(n, max_part), 0, -1)
+        for rest in reference_partitions(n - first, first)
+    ]
+
+
+# p(n) for n = 0..20 (OEIS A000041)
+PARTITION_COUNTS = [
+    1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176, 231, 297, 385, 490, 627,
+]
+
+
+class TestPartitions:
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_order_matches_recursion(self, n):
+        diagrams = list(iter_partitions(n))
+        assert all(type(dg) is YoungDiagram for dg in diagrams)
+        assert [dg.rows for dg in diagrams] == reference_partitions(n, n)
+        assert len(diagrams) == PARTITION_COUNTS[n]
+        assert partitions_of(n) == diagrams
+
+    def test_zero_is_one_empty_diagram(self):
+        assert list(iter_partitions(0)) == [YoungDiagram(())]
+        assert partitions_of(0) == [YoungDiagram(())]
+
+    def test_negative_is_value_error(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            partitions_of(-1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            next(iter_partitions(-1))
+
+
 def brute_force_semistandard(diagram, d):
     # place every word over 0..d-1 into the shape, keep the semistandard ones
     out = []
@@ -363,6 +403,13 @@ class TestStandardTableaux:
             tableaux = enumerate_standard_tableaux(dg)
             assert all(type(t) is StandardTableau for t in tableaux)
             assert [t.rows for t in tableaux] == brute_force_tableaux(dg), dg
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_iteration_matches_enumeration(self, n):
+        for dg in partitions_of(n):
+            tableaux = list(iter_standard_tableaux(dg))
+            assert all(type(t) is StandardTableau for t in tableaux)
+            assert tableaux == enumerate_standard_tableaux(dg), dg
 
     def test_enumeration_is_sorted_by_row_word(self):
         tableaux = enumerate_standard_tableaux(YoungDiagram((3, 2)))
