@@ -34,26 +34,22 @@ from .young import (
 
 SCHEMA = "1"
 
-# The numerical names verify and maximize use -> their home modules.  They
-# load on first use, and numpy with them, so the exact commands never load
-# numpy; the order is the package's own import order (tensor_space first).
-# They stay attributes of this module: a name rebound here from outside is
-# the object the commands call.
-_NUMERICAL = {
-    "block_basis": "tensor_space",
-    "MaximizeConfig": "spectral",
-    "max_lambda1_over_subspace": "spectral",
-    "schmidt_decompose": "spectral",
-    "optimizer_state": "special_states",
-    "CheckResult": "verification",
-    "run_verification": "verification",
-}
+# The numerical names verify and maximize use.  They load on first use from
+# their home modules in the package's table, and numpy with them, so the
+# exact commands never load numpy; the order is the package's own import
+# order (tensor_space first).  They stay attributes of this module: a name
+# rebound here from outside is the object the commands call.
+_NUMERICAL = (
+    "block_basis", "MaximizeConfig", "max_lambda1_over_subspace", "schmidt_decompose",
+    "optimizer_state", "CheckResult", "run_verification",
+)
 
 
 def __getattr__(name: str):
     if name not in _NUMERICAL:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_NUMERICAL[name]}", __package__), name)
+    from . import _HOME
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __package__), name)
     globals()[name] = value
     return value
 
@@ -121,7 +117,8 @@ def _memory_need(diagram: YoungDiagram, d: int, samples: int | None = None) -> i
 
 def _check_memory(diagram: YoungDiagram, d: int, samples: int | None = None) -> None:
     """Usage error, before any array exists, unless the run fits in physical
-    memory; fillings are listed only once one amplitude per column fits."""
+    memory, then in numpy's array rank; fillings are listed only once one
+    amplitude per column fits."""
     memory = _physical_memory()
     need = 16 * dim_symmetric_group_irrep(diagram) * dim_unitary_group_irrep(diagram, d)
     if need <= memory:
@@ -131,6 +128,14 @@ def _check_memory(diagram: YoungDiagram, d: int, samples: int | None = None) -> 
             f"this run needs about {need} bytes of arrays, more than the "
             f"{memory} bytes of physical memory"
         )
+    import numpy as np
+
+    # a vector is viewed as (d,)*N axes, and verify's sample checks add one
+    axes = diagram.n_boxes + (samples is not None)
+    try:
+        np.empty((1,) * axes)
+    except ValueError as exc:  # over the installed numpy's limit
+        raise click.UsageError(f"this run views a vector as {axes} array axes: {exc}") from exc
 
 
 def _emit_json(payload: dict, key: str | None = None, items: Iterable = ()) -> None:

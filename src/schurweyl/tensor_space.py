@@ -574,11 +574,11 @@ def block_basis(diagram: YoungDiagram, d: int) -> WeightBlocks:
     with no vector when d is smaller than the number of rows.  Vector
     ``i * dim V + a`` is vector a of the i-th tableau's sector, the same
     unitary-group vector in every sector.  The first tableau's blocks are
-    those of :func:`subspace_basis`; each other tableau s = (k k+1) t is
-    reached across a swap with axial distance |r| >= 2, where Young's
-    orthogonal form reads sigma_k v_t = v_t / r + sqrt(1 - 1/r^2) v_s: one
-    row gather and one axpy per swap and stack, no projector.  The positive
-    mixing coefficient fixes all relative phases."""
+    those of :func:`subspace_basis`; the others follow in order, each from an
+    earlier one across its first descent, where Young's orthogonal form reads
+    sigma_k v_s = v_s / r + sqrt(1 - 1/r^2) v_t: one row gather and one axpy
+    per tableau and stack, no projector.  The positive mixing coefficient
+    fixes all relative phases."""
     n = diagram.n_boxes
     tableaux = enumerate_standard_tableaux(diagram)
     f = len(tableaux)
@@ -595,25 +595,19 @@ def block_basis(diagram: YoungDiagram, d: int) -> WeightBlocks:
         stacks.append((part, wide, cols.reshape(len(cols), -1)))
     del seed, blocks
     index = {t: i for i, t in enumerate(tableaux)}
-    reached, frontier = {tableaux[0]}, [tableaux[0]]
-    while frontier:
-        t = frontier.pop()
-        for k in range(1, n):
-            r = axial_distance(t, k)
-            if abs(r) < 2:
-                continue
-            s = t.with_swap(k)
-            if s in reached:
-                continue
-            for (_, wide, _), rows in zip(stacks, swaps[k]):
-                flat = wide.reshape(-1, f, wide.shape[3])
-                v_t, v_s = flat[:, index[t]], flat[:, index[s]]
-                v_s[...] = v_t[rows]
-                v_s *= r
-                v_s -= v_t
-                v_s /= math.copysign(math.sqrt(r * r - 1), r)
-            reached.add(s)
-            frontier.append(s)
-    if len(reached) != f:
-        raise ArithmeticError("swap moves failed to reach every tableau")
+    # Every tableau t after the row-ordered first one has a least k with k+1
+    # in a higher row than k.  Then s = (k k+1) t is standard and precedes t
+    # by row word, since k takes the place of k+1 in that higher row; and as
+    # k, k+1 share no row or column of s, its axial distance has |r| >= 2.
+    for i, t in enumerate(tableaux[1:], start=1):
+        k = next(k for k in range(1, n) if t.position(k + 1).row < t.position(k).row)
+        s = t.with_swap(k)
+        r = axial_distance(s, k)
+        for (_, wide, _), rows in zip(stacks, swaps[k]):
+            flat = wide.reshape(-1, f, wide.shape[3])
+            v_s, v_t = flat[:, index[s]], flat[:, i]
+            v_t[...] = v_s[rows]
+            v_t *= r
+            v_t -= v_s
+            v_t /= math.copysign(math.sqrt(r * r - 1), r)
     return WeightBlocks(d, n, gather, [(p, w.reshape(*w.shape[:2], -1), c) for p, w, c in stacks])

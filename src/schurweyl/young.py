@@ -6,9 +6,9 @@ A diagram caches its conjugate, so a hook length costs O(1); the corners are
 found in one scan of the rows; each corner bound is a single ``Fraction``
 built from integer products; and both dimension formulas share one integer
 hook product.  Partitions are generated one at a time (ZS1) from O(N) state.
-Standard tableaux are enumerated on plain row tuples and each is validated
-once, as it is returned; semistandard fillings, which index a weight basis of
-the unitary-group factor, are plain row tuples throughout.
+Standard tableaux are built level by level on plain row tuples, with no
+memo, and each is validated once, as it is returned; semistandard fillings,
+which index a weight basis of the unitary-group factor, stay row tuples.
 """
 
 from __future__ import annotations
@@ -388,26 +388,25 @@ def _insert_value(t: StandardTableau, box: Box, value: int) -> StandardTableau:
 Rows = tuple[tuple[int, ...], ...]
 
 
-@lru_cache(maxsize=None)
-def _standard_fillings(shape: tuple[int, ...]) -> tuple[Rows, ...]:
+def _standard_fillings(shape: tuple[int, ...]) -> list[Rows]:
     """Standard fillings of a shape as plain row tuples, in no fixed order.
 
-    N sits in a corner; the rest is a standard filling of the shape with that
-    corner removed.
+    Built level by level: the fillings with 1..k of every shape inside
+    ``shape``, padded with empty rows, get k+1 in each addable box inside it.
+    Every filling of a level extends to a different tableau of ``shape``, so
+    a level holds at most as many fillings as the result.
     """
-    n = sum(shape)
-    if n == 0:
-        return ((),)
-    out = []
-    for i in _corner_rows(shape):
-        if shape[i] == 1:
-            for sub in _standard_fillings(shape[:i]):
-                out.append((*sub, (n,)))
-        else:
-            smaller = (*shape[:i], shape[i] - 1, *shape[i + 1:])
-            for sub in _standard_fillings(smaller):
-                out.append((*sub[:i], (*sub[i], n), *sub[i + 1:]))
-    return tuple(out)
+    level = {(0,) * len(shape): [((),) * len(shape)]}  # row lengths -> fillings
+    for k in range(1, sum(shape) + 1):
+        grown: dict[tuple[int, ...], list[Rows]] = {}
+        for sub, fillings in level.items():
+            for i, length in enumerate(sub):
+                if length < shape[i] and (i == 0 or sub[i - 1] > length):
+                    grown.setdefault((*sub[:i], length + 1, *sub[i + 1:]), []).extend(
+                        (*rows[:i], (*rows[i], k), *rows[i + 1:]) for rows in fillings
+                    )
+        level = grown
+    return level[shape]
 
 
 def _row_word(rows: Rows) -> tuple[int, ...]:
@@ -416,8 +415,8 @@ def _row_word(rows: Rows) -> tuple[int, ...]:
 
 def iter_standard_tableaux(diagram: YoungDiagram) -> Iterator[StandardTableau]:
     """The standard tableaux of a shape, sorted by row-reading word, each
-    validated as it is yielded.  No tableau is kept; the fillings' row
-    tuples are memoized per shape."""
+    validated as it is yielded.  Nothing is kept after the listing: the
+    fillings' row tuples live only while it runs."""
     for rows in sorted(_standard_fillings(diagram.rows), key=_row_word):
         yield StandardTableau(rows)
 
@@ -430,11 +429,11 @@ def _standard_tableaux(diagram: YoungDiagram) -> tuple[StandardTableau, ...]:
 def enumerate_standard_tableaux(diagram: YoungDiagram) -> list[StandardTableau]:
     """All standard tableaux of a shape, sorted by row-reading word.
 
-    The fillings are built as row tuples; each returned tableau is the only
-    validated ``StandardTableau`` made for it.  The tableaux of a shape are
-    kept for the life of the process, since the numerical layers ask for
-    them once per permutation matrix; :func:`iter_standard_tableaux` keeps
-    none.
+    The fillings are built as row tuples, level by level; each returned
+    tableau is the only validated ``StandardTableau`` made for it.  The
+    tableaux of a shape are kept for the life of the process, since the
+    numerical layers ask for them once per permutation matrix;
+    :func:`iter_standard_tableaux` keeps nothing after a listing.
     """
     return list(_standard_tableaux(diagram))
 

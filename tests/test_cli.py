@@ -13,6 +13,11 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+try:
+    from numpy._core.multiarray import MAXDIMS
+except ImportError:  # numpy 1.x
+    from numpy.core.multiarray import MAXDIMS
+
 from schurweyl.cli import _emit_json, main
 from schurweyl.orthogonal_form import IrrepMatrix, permutation_matrix
 from schurweyl.spectral import MaximizeConfig, max_lambda1_over_subspace
@@ -566,6 +571,14 @@ def listing_peak(args):
         tracemalloc.stop()
 
 
+def src_env():
+    """The environment with this checkout's package first on the path."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 # Runs its arguments as a child and prints the child's exit code and peak
 # RSS.  On Linux a child's ru_maxrss counts the RSS of the process that
 # spawned it, so the command is spawned from this small process rather than
@@ -582,12 +595,9 @@ print(child.returncode, usage.ru_maxrss)
 def child_max_rss(args):
     """Peak RSS of one ``python -m schurweyl`` process, in the platform's
     ``ru_maxrss`` unit."""
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", CHILD_MAX_RSS, sys.executable, "-m", "schurweyl", *args],
-        env=env, capture_output=True, text=True, timeout=300,
+        env=src_env(), capture_output=True, text=True, timeout=300,
     )
     code, rss = map(int, proc.stdout.split())
     assert code == 0, proc.stderr
@@ -748,12 +758,9 @@ else:
 
 
 def loaded_modules(args):
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", LOADED_MODULES, *args],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=src_env(), capture_output=True, text=True, timeout=120,
     )
     return proc.returncode, set(proc.stderr.splitlines()[-1].split())
 
@@ -774,6 +781,32 @@ def test_exact_commands_never_load_numpy(args, code):
     assert returncode == code
     assert "schurweyl" in modules
     assert not {"numpy", "schurweyl.tensor_space"} & modules
+
+
+COLUMN_1200 = ",".join(["1"] * 1200)
+
+
+@pytest.mark.parametrize("args, code", [
+    (["tableaux", "--partition", "1200"], 0),
+    (["tableaux", "--partition", COLUMN_1200], 0),
+    (["bound", "--partition", COLUMN_1200], 0),
+    # d defaults to the one row, so d**N = 1 fits in memory, but numpy caps
+    # the axes of an array (64 in numpy 2): maximize views a vector as N
+    # axes, and verify's sample checks add one
+    (["verify", "--partition", str(MAXDIMS)], 2),
+    (["maximize", "--partition", str(MAXDIMS + 1)], 2),
+    (["verify", "--partition", str(MAXDIMS - 1)], 0),
+    (["maximize", "--partition", str(MAXDIMS)], 0),
+], ids=["tableaux-row-1200", "tableaux-column-1200", "bound-column-1200",
+        "verify-over-rank", "maximize-over-rank", "verify-at-rank", "maximize-at-rank"])
+def test_boundary_inputs_keep_the_exit_contract(args, code):
+    # exit 0 success, 1 only with a FAIL line, 2 usage error; never a traceback
+    proc = subprocess.run(
+        [sys.executable, "-m", "schurweyl", *args],
+        env=src_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert "Traceback" not in proc.stderr, proc.stderr
+    assert proc.returncode == code, proc.stderr
 
 
 # sha256 of the JSON output, recorded before the exact layer was rewritten;

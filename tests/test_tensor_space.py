@@ -570,6 +570,22 @@ class TestSubspaceBasis:
         )
         np.testing.assert_allclose(mat @ mat.conj().T, reference, atol=1e-10)
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_every_tableau_follows_an_earlier_one(self, n):
+        # block_basis makes each tableau after the first from the earlier
+        # one across its first descent k, where k+1 sits in a higher row
+        for nu in partitions_of(n):
+            tableaux = enumerate_standard_tableaux(nu)
+            assert tableaux[0].is_row_ordered()
+            index = {t: i for i, t in enumerate(tableaux)}
+            for i, t in enumerate(tableaux[1:], start=1):
+                descents = [k for k in range(1, n) if t.position(k + 1).row < t.position(k).row]
+                assert descents, t
+                k = descents[0]
+                s = t.with_swap(k)
+                assert index[s] < i, (t, k)
+                assert abs(axial_distance(s, k)) >= 2, (t, k)
+
     @pytest.mark.parametrize(
         "n, d",
         [

@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 from collections import Counter
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
@@ -410,6 +412,25 @@ class TestStandardTableaux:
             tableaux = list(iter_standard_tableaux(dg))
             assert all(type(t) is StandardTableau for t in tableaux)
             assert tableaux == enumerate_standard_tableaux(dg), dg
+
+    @pytest.mark.parametrize("rows", [(1200,), (1,) * 1200], ids=["row", "column"])
+    def test_one_tableau_of_a_long_row_or_column(self, rows):
+        # built one entry at a time, with no recursion whose depth grows with N
+        tableaux = list(iter_standard_tableaux(YoungDiagram(rows)))
+        assert [t.row_word() for t in tableaux] == [tuple(range(1, 1201))]
+
+    def test_listing_keeps_nothing(self):
+        # 8580 tableaux; a memo of the fillings of every sub-shape kept
+        # 3.5 MiB after the listing
+        tracemalloc.start()
+        try:
+            for _ in iter_standard_tableaux(YoungDiagram((4, 4, 3, 2))):
+                pass
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 2 * 2**20, held
 
     def test_enumeration_is_sorted_by_row_word(self):
         tableaux = enumerate_standard_tableaux(YoungDiagram((3, 2)))
