@@ -19,7 +19,6 @@ _EXPORTS = {
         "column_ordered_tableau",
         "dim_symmetric_group_irrep",
         "dim_unitary_group_irrep",
-        "dominates",
         "entropy_lower_bound",
         "enumerate_semistandard_tableaux",
         "enumerate_standard_tableaux",
@@ -31,13 +30,10 @@ _EXPORTS = {
         "removable_boxes",
         "remove_largest",
         "row_ordered_tableau",
-        "split_tableau",
         "tableau_with_largest_in",
     ),
     "orthogonal_form": (
-        "IrrepMatrix",
         "Permutation",
-        "adjacent_transposition_matrix",
         "permutation_matrix",
         "permutation_sign",
     ),
@@ -47,7 +43,6 @@ _EXPORTS = {
         "WeightBlocks",
         "antisymmetrizer",
         "apply_local_unitary",
-        "apply_permutation",
         "block_basis",
         "closed_form_projector",
         "column_antisymmetrizer",
@@ -55,9 +50,7 @@ _EXPORTS = {
         "random_state",
         "row_symmetrizer",
         "subspace_basis",
-        "swap_factors",
         "symmetrizer",
-        "young_projection",
     ),
     "spectral": (
         "MaximizationReport",
@@ -72,7 +65,6 @@ _EXPORTS = {
     "special_states": (
         "OrthonormalFrame",
         "coherent_state",
-        "coleman_equality_check",
         "optimizer_state",
         "slater",
     ),

@@ -83,8 +83,11 @@ def _physical_memory() -> float:
         return math.inf
 
 
-def _memory_need(diagram: YoungDiagram, d: int, samples: int | None = None) -> int:
-    """Bytes of arrays the run holds at its peak, in exact integers.  A
+def _memory_need(
+    diagram: YoungDiagram, d: int, samples: int | None = None,
+    ascent: MaximizeConfig | None = None,
+) -> int:
+    """Bytes the run holds at its peak, in exact integers.  A
     vector is ``16 * d**N`` bytes; a weight of K semistandard fillings is a
     block of h rows (its multinomial coefficient) and w = f * K columns; a
     row map takes 8 bytes per block row.  Beside the blocks a run holds 16
@@ -92,7 +95,11 @@ def _memory_need(diagram: YoungDiagram, d: int, samples: int | None = None) -> i
     or more: maximize's N-1 row maps and Gram check in 256-row chunks, or
     verify's row maps and cross-check (a permuted stack, three ``(w, w)``
     arrays per block).  verify may peak in its sample checks: 13 vectors a
-    sample, x, P_t x, U x, V and a call on the last three with two buffers."""
+    sample, x, P_t x, U x, V and a call on the last three with two buffers.
+    Beside its arrays, the ascent of ``ascent`` keeps a record of each
+    restart, the seeded one included: 128 bytes of counts and up to
+    max_iterations objective values of 40 bytes (a float and its places in
+    the report and the JSON)."""
     n = diagram.n_boxes
     f = dim_symmetric_group_irrep(diagram)
     vector = 16 * d**n
@@ -108,24 +115,30 @@ def _memory_need(diagram: YoungDiagram, d: int, samples: int | None = None) -> i
     rows = sum(h * k for (h, _), k in shapes.items())
     if samples is None:
         gram = max((16 * w * (2 * w + min(h, 256)) for h, w in shapes), default=0)
-        return blocks + max(8 * rows * (n - 1) + gram, 16 * vector)
+        records = 0
+        if ascent is not None:
+            records = (ascent.restarts + 1) * (128 + 40 * ascent.max_iterations)
+        return blocks + max(8 * rows * (n - 1) + gram, 16 * vector + records)
     maps = 8 * rows * (n + 1 + (n - 1) * (n - 2) // 2)
     cross = max((16 * k * w * (h + 3 * w) for (h, w), k in shapes.items()), default=0)
     sample_checks = 13 * samples * vector
     return max(sample_checks, blocks + maps + max(cross, 16 * vector))
 
 
-def _check_memory(diagram: YoungDiagram, d: int, samples: int | None = None) -> None:
+def _check_memory(
+    diagram: YoungDiagram, d: int, samples: int | None = None,
+    ascent: MaximizeConfig | None = None,
+) -> None:
     """Usage error, before any array exists, unless the run fits in physical
     memory, then in numpy's array rank; fillings are listed only once one
     amplitude per column fits."""
     memory = _physical_memory()
     need = 16 * dim_symmetric_group_irrep(diagram) * dim_unitary_group_irrep(diagram, d)
     if need <= memory:
-        need = _memory_need(diagram, d, samples)
+        need = _memory_need(diagram, d, samples, ascent)
     if need > memory:
         raise click.UsageError(
-            f"this run needs about {need} bytes of arrays, more than the "
+            f"this run needs about {need} bytes, more than the "
             f"{memory} bytes of physical memory"
         )
     import numpy as np
@@ -349,7 +362,7 @@ def maximize(ctx: click.Context, partition: str, d: int | None, cut: int | None,
             err=True,
         )
         raise click.UsageError("no block to maximize over at this d")
-    _check_memory(diagram, d)
+    _check_memory(diagram, d, ascent=config)
     exact, witness = max_schmidt_bound(diagram)
 
     pairs = []

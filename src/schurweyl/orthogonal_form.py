@@ -11,9 +11,9 @@ from functools import lru_cache
 import numpy as np
 
 from .young import (
-    StandardTableau,
     YoungDiagram,
     axial_distance,
+    dim_symmetric_group_irrep,
     enumerate_standard_tableaux,
 )
 
@@ -83,21 +83,6 @@ class Permutation:
     def sign(self) -> int:
         return permutation_sign(self.images)
 
-    def cycle_type(self) -> tuple[int, ...]:
-        seen = [False] * self.size
-        lengths = []
-        for start in range(1, self.size + 1):
-            if seen[start - 1]:
-                continue
-            length = 0
-            k = start
-            while not seen[k - 1]:
-                seen[k - 1] = True
-                k = self.images[k - 1]
-                length += 1
-            lengths.append(length)
-        return tuple(sorted(lengths, reverse=True))
-
     def adjacent_factorization(self) -> tuple[int, ...]:
         """Indices k with self = s_{k_1} . s_{k_2} . ... for s_k = (k k+1).
 
@@ -117,21 +102,14 @@ class Permutation:
         return tuple(reversed(swaps))
 
 
-@dataclass
-class IrrepMatrix:
-    """Real matrix of a symmetric-group element on the tableau-indexed basis."""
-
-    diagram: YoungDiagram
-    basis: tuple[StandardTableau, ...]
-    entries: np.ndarray
-
-
 @lru_cache(maxsize=None)
-def _adjacent_matrix(diagram: YoungDiagram, k: int) -> IrrepMatrix:
-    basis = tuple(enumerate_standard_tableaux(diagram))
+def _adjacent_matrix(diagram: YoungDiagram, k: int) -> np.ndarray:
+    # Young's orthogonal form of (k k+1): +1 (same row), -1 (same column) or
+    # 1/r for axial distance r on the diagonal, and sqrt(1 - 1/r^2) coupling
+    # to the swapped tableau.  Cached per (diagram, k), so read-only.
+    basis = enumerate_standard_tableaux(diagram)
     index = {t: a for a, t in enumerate(basis)}
-    dim = len(basis)
-    m = np.zeros((dim, dim))
+    m = np.zeros((len(basis), len(basis)))
     for a, t in enumerate(basis):
         r = axial_distance(t, k)
         if r == 1:
@@ -143,31 +121,20 @@ def _adjacent_matrix(diagram: YoungDiagram, k: int) -> IrrepMatrix:
             b = index[t.with_swap(k)]
             m[b, a] = math.sqrt(1.0 - 1.0 / r**2)
     m.setflags(write=False)
-    return IrrepMatrix(diagram, basis, m)
+    return m
 
 
-def adjacent_transposition_matrix(diagram: YoungDiagram, k: int) -> IrrepMatrix:
-    """Matrix of the transposition (k k+1) in Young's orthogonal form.
-
-    Diagonal entries are +1 (same row), -1 (same column) or 1/r for axial
-    distance r; the off-diagonal coupling to the swapped tableau is
-    sqrt(1 - 1/r^2).  Matrices are cached per (diagram, k); do not mutate.
-    """
-    if not 1 <= k <= diagram.n_boxes - 1:
-        raise ValueError(f"k must be in 1..{diagram.n_boxes - 1}")
-    return _adjacent_matrix(diagram, k)
-
-
-def permutation_matrix(diagram: YoungDiagram, sigma: Permutation) -> IrrepMatrix:
-    """Matrix of an arbitrary permutation, composed from adjacent swaps.
+def permutation_matrix(diagram: YoungDiagram, sigma: Permutation) -> np.ndarray:
+    """Real orthogonal matrix of a permutation in Young's orthogonal form,
+    rows and columns indexed by :func:`enumerate_standard_tableaux`'s order,
+    composed from adjacent swaps.
 
     The result is independent of the factorization because the generator
     matrices satisfy the braid and involution relations.
     """
     if sigma.size != diagram.n_boxes:
         raise ValueError("permutation size must match the number of boxes")
-    basis = tuple(enumerate_standard_tableaux(diagram))
-    out = np.eye(len(basis))
+    out = np.eye(dim_symmetric_group_irrep(diagram))
     for k in sigma.adjacent_factorization():
-        out = out @ _adjacent_matrix(diagram, k).entries
-    return IrrepMatrix(diagram, basis, out)
+        out = out @ _adjacent_matrix(diagram, k)
+    return out

@@ -1,6 +1,5 @@
 """Explicit states: Slater determinants, coherent states of column-ordered
-tableaux, bound-saturating optimizers, and the equality condition for the
-antisymmetric projection norm."""
+tableaux and bound-saturating optimizers."""
 
 from __future__ import annotations
 
@@ -12,7 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from .orthogonal_form import permutation_sign
-from .tensor_space import TensorState, antisymmetrizer, orthogonal_projector
+from .tensor_space import TensorState, orthogonal_projector
 from .young import (
     Box,
     StandardTableau,
@@ -154,21 +153,3 @@ def optimizer_state(
         return projected
     return _tensor_chain(left_parts).tensor(projected)
 
-
-def coleman_equality_check(phi: TensorState, u: TensorState) -> tuple[float, bool]:
-    """Squared antisymmetric-projection norm of phi x u and its equality test.
-
-    Returns ``(|P_A(phi x u)|^2, flag)`` where the flag reports whether u is
-    annihilated by contraction against the last factor of phi; when it is and
-    phi is antisymmetric, the norm equals |phi|^2 / k for k factors total.
-    """
-    if u.n_factors != 1:
-        raise ValueError("u must be a one-factor state")
-    if phi.local_dim != u.local_dim:
-        raise ValueError("dimension mismatch between phi and u")
-    k = phi.n_factors + 1
-    projected = antisymmetrizer(phi.local_dim, k)(phi.tensor(u))
-    norm_sq = float(projected.norm() ** 2)
-    contracted = np.tensordot(phi.nd(), u.amplitudes.conj(), axes=([phi.n_factors - 1], [0]))
-    condition = bool(np.linalg.norm(contracted) < 1e-9)
-    return norm_sq, condition

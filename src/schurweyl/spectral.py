@@ -4,6 +4,7 @@ projector-defined subspace."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -170,16 +171,17 @@ def max_lambda1_over_subspace(
         v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         return v / np.linalg.norm(v)
 
-    starts: list[tuple[np.ndarray, np.ndarray] | None] = []
+    seeded: list[tuple[np.ndarray, np.ndarray]] = []
     for a, b in initial_pairs:
         if a.local_dim != d or b.local_dim != d:
             raise ValueError(f"initial pair does not live on local dimension {d}")
         if a.n_factors != k or b.n_factors != n - k:
             raise ValueError("initial pair does not match the cut")
-        starts.append((a.normalized().amplitudes, b.normalized().amplitudes))
-    starts.extend([None] * config.restarts)
-    if not starts:
+        seeded.append((a.normalized().amplitudes, b.normalized().amplitudes))
+    if not seeded and not config.restarts:
         raise ValueError("need at least one restart or initial pair")
+    # lazy: no list as long as the restart count is ever made
+    starts = itertools.chain(seeded, itertools.repeat(None, config.restarts))
 
     iterations = []
     converged = []
@@ -233,7 +235,7 @@ def max_lambda1_over_subspace(
     maximizer = TensorState(d, n, best_psi)
     return MaximizationReport(
         best_lambda1_sq=best_obj,
-        restarts=len(starts),
+        restarts=len(iterations),
         iterations=tuple(iterations),
         converged=tuple(converged),
         best_restart=best_restart,

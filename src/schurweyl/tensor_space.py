@@ -1,9 +1,9 @@
 """Dense states on (C^d)^(tensor n), matrix-free permutation operators and
 the sector and block bases, held as their weight blocks.
 
-Row symmetrizers, column antisymmetrizers, Young projections, the hermitian
-sector projectors (products of Jucys-Murphy interpolation stages) and their
-closed forms are all one operator type, a product of stages
+Row symmetrizers, column antisymmetrizers, the hermitian sector projectors
+(products of Jucys-Murphy interpolation stages) and their closed forms are
+all one operator type, a product of stages
 scale * (shift + sum of signed permutations), and every permutation acts as
 an axis transpose of the (d,)*n view; the full d^n x d^n matrices are never
 materialized.
@@ -133,13 +133,6 @@ class TensorState:
             "amplitudes": [[float(a.real), float(a.imag)] for a in self.amplitudes],
         }
 
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> TensorState:
-        amps = np.array(
-            [complex(re, im) for re, im in obj["amplitudes"]], dtype=np.complex128
-        )
-        return cls(int(obj["d"]), int(obj["n"]), amps)
-
     def __repr__(self) -> str:
         return f"TensorState(d={self.local_dim}, n={self.n_factors}, norm={self.norm():.6g})"
 
@@ -156,44 +149,18 @@ def _axes_for(sigma: Permutation) -> tuple[int, ...]:
     return tuple(v - 1 for v in inv)
 
 
-def _permuted(axes: tuple[int, ...], arr: np.ndarray, d: int, n: int) -> np.ndarray:
-    """Permutation action on a flat vector or on every column of a
-    (d**n, batch) matrix, as one axis transpose of the (d,)*n view."""
-    batch = arr.shape[1:]
-    trailing = tuple(range(n, n + len(batch)))
-    return arr.reshape((d,) * n + batch).transpose(axes + trailing).reshape(arr.shape)
-
-
-def apply_permutation(sigma: Permutation, psi: TensorState) -> TensorState:
-    """Index-shuffle action: the content of factor k moves to factor sigma(k).
-
-    Satisfies U_sigma U_tau = U_{sigma tau} and preserves the norm.
-    """
-    if sigma.size != psi.n_factors:
-        raise ValueError("permutation size must match the number of factors")
-    if sigma.is_identity():
-        return psi
-    amps = _permuted(_axes_for(sigma), psi.amplitudes, psi.local_dim, psi.n_factors)
-    return TensorState(psi.local_dim, psi.n_factors, amps)
-
-
 def permute_matrix_columns(
     sigma: Permutation, mat: np.ndarray, d: int, n: int
 ) -> np.ndarray:
-    """Permutation action applied to every column of a (d**n, batch) matrix."""
+    """Index-shuffle action on a flat vector or on every column of a
+    (d**n, batch) matrix, as one axis transpose of the (d,)*n view: the
+    content of factor k moves to factor sigma(k), and U_sigma U_tau =
+    U_{sigma tau}."""
     if sigma.is_identity():
         return mat
-    return _permuted(_axes_for(sigma), mat, d, n)
-
-
-def swap_factors(psi: TensorState, k: int, l: int) -> TensorState:
-    """Exchange tensor factors k and l (1-based)."""
-    n = psi.n_factors
-    if not (1 <= k <= n and 1 <= l <= n):
-        raise ValueError(f"factor indices must lie in 1..{n}")
-    if k == l:
-        return psi
-    return apply_permutation(Permutation.transposition(n, k, l), psi)
+    batch = mat.shape[1:]
+    trailing = tuple(range(n, n + len(batch)))
+    return mat.reshape((d,) * n + batch).transpose(_axes_for(sigma) + trailing).reshape(mat.shape)
 
 
 def _rotated(u: np.ndarray, arr: np.ndarray, d: int, n: int) -> np.ndarray:
@@ -352,18 +319,6 @@ def _column_parts(t: StandardTableau, d: int) -> list[OperatorExpr]:
     return [column_antisymmetrizer(t, j, d) for j in range(1, t.diagram.n_cols + 1)]
 
 
-def young_projection(t: StandardTableau, d: int) -> OperatorExpr:
-    """Scaled row-symmetrizer column-antisymmetrizer product for a tableau.
-
-    Idempotent but generally not hermitian.  The scale is the exact ratio of
-    row and column factorials to the hook product.
-    """
-    if d < 1:
-        raise ValueError("local dimension must be at least 1")
-    factors = (*_row_parts(t, d), *_column_parts(t, d))
-    return _compose(d, t.n, factors, _normalization(t.diagram))
-
-
 def orthogonal_projector(t: StandardTableau, d: int) -> OperatorExpr:
     """Hermitian projector onto the tableau's sector.
 
@@ -406,7 +361,8 @@ def closed_form_projector(t: StandardTableau, d: int) -> OperatorExpr:
     """Closed form of the sector projector for ordered fillings.
 
     Row-ordered tableaux use symmetrize-antisymmetrize-symmetrize; column
-    ordered ones the reverse, both with the Young-projection scale.
+    ordered ones the reverse, both scaled by the exact ratio of row and
+    column factorials to the hook product.
     """
     if d < 1:
         raise ValueError("local dimension must be at least 1")

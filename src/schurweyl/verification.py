@@ -156,7 +156,7 @@ def run_verification(
         sigmas.append(Permutation(tuple(range(2, n + 1)) + (1,)))
     worst_cross = 0.0
     for sigma in sigmas:
-        m = permutation_matrix(diagram, sigma).entries
+        m = permutation_matrix(diagram, sigma)
         for (_, blocks, cols), rows in zip(project.stacks, project.row_map(sigma)):
             moved = blocks.reshape(-1, blocks.shape[2])[rows].reshape(blocks.shape)
             worst_cross = max(worst_cross, np.abs(_column_norms(moved) - 1.0).max())

@@ -266,20 +266,6 @@ def partitions_of(n: int) -> list[YoungDiagram]:
     return list(iter_partitions(n))
 
 
-def dominates(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    """Dominance order on partitions of equal weight: prefix sums of a >= those of b."""
-    total_a, total_b = sum(a), sum(b)
-    if total_a != total_b:
-        raise ValueError("dominance compares partitions of the same integer")
-    running_a = running_b = 0
-    for i in range(max(len(a), len(b))):
-        running_a += a[i] if i < len(a) else 0
-        running_b += b[i] if i < len(b) else 0
-        if running_a < running_b:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class StandardTableau:
     """Filling of a Young diagram with 1..N increasing along rows and columns."""
@@ -499,41 +485,6 @@ def remove_largest(t: StandardTableau) -> StandardTableau:
     if rows and not rows[-1]:
         rows.pop()
     return StandardTableau(tuple(tuple(r) for r in rows))
-
-
-def split_tableau(
-    t: StandardTableau, k: int
-) -> tuple[StandardTableau, StandardTableau | None]:
-    """Split a tableau into the parts holding 1..k and k+1..N.
-
-    The first part is always a standard tableau.  The second exists only when
-    the boxes holding k+1..N form a translate of a left-justified diagram; it
-    is then returned anchored at the top left with k subtracted from every
-    entry, and is ``None`` otherwise.
-    """
-    if not 1 <= k <= t.n - 1:
-        raise ValueError(f"k must be in 1..{t.n - 1}")
-    a_rows = tuple(
-        tuple(v for v in row if v <= k) for row in t.rows if row[0] <= k
-    )
-    t_a = StandardTableau(a_rows)
-
-    b_cells: dict[int, list[tuple[int, int]]] = {}
-    for i, row in enumerate(t.rows, start=1):
-        cells = [(j, v) for j, v in enumerate(row, start=1) if v > k]
-        if cells:
-            b_cells[i] = cells
-    rows_present = sorted(b_cells)
-    if rows_present != list(range(rows_present[0], rows_present[0] + len(rows_present))):
-        return t_a, None
-    start_cols = {cells[0][0] for cells in b_cells.values()}
-    if len(start_cols) != 1:
-        return t_a, None
-    lengths = [len(b_cells[i]) for i in rows_present]
-    if any(lengths[i] < lengths[i + 1] for i in range(len(lengths) - 1)):
-        return t_a, None
-    b_rows = tuple(tuple(v - k for _, v in b_cells[i]) for i in rows_present)
-    return t_a, StandardTableau(b_rows)
 
 
 def axial_distance(t: StandardTableau, k: int) -> int:

@@ -147,9 +147,7 @@ def test_criterion_4_closed_form_equivalence():
 
 def test_criterion_5_orthogonal_form_cross_check():
     # explicit mixing values for the (2,1) generator on (1 2 3) -> (1 3 2)
-    from schurweyl.orthogonal_form import adjacent_transposition_matrix
-
-    m = adjacent_transposition_matrix(YoungDiagram((2, 1)), 2).entries
+    m = permutation_matrix(YoungDiagram((2, 1)), Permutation.transposition(3, 2, 3))
     assert m[0, 0] == pytest.approx(-0.5, abs=1e-15)
     assert m[1, 0] == pytest.approx(math.sqrt(3 / 4), abs=1e-15)
 
@@ -163,7 +161,7 @@ def test_criterion_5_orthogonal_form_cross_check():
             sigmas = [Permutation.transposition(n, k, k + 1) for k in range(1, n)]
             sigmas.append(Permutation.random(n, rng))
             for sigma in sigmas:
-                rep = permutation_matrix(nu, sigma).entries
+                rep = permutation_matrix(nu, sigma)
                 moved = permute_matrix_columns(sigma, mat, d, n)
                 overlaps = mat.conj().T @ moved
                 expected = np.kron(rep, np.eye(dim_v))

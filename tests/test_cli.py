@@ -19,7 +19,7 @@ except ImportError:  # numpy 1.x
     from numpy.core.multiarray import MAXDIMS
 
 from schurweyl.cli import _emit_json, main
-from schurweyl.orthogonal_form import IrrepMatrix, permutation_matrix
+from schurweyl.orthogonal_form import permutation_matrix
 from schurweyl.spectral import MaximizeConfig, max_lambda1_over_subspace
 from schurweyl.tensor_space import OperatorExpr, WeightBlocks, block_basis
 from schurweyl.verification import CheckResult, run_verification
@@ -306,11 +306,10 @@ class TestVerify:
         import schurweyl.verification as verification
 
         def flipped(diagram, sigma):
-            out = permutation_matrix(diagram, sigma)
-            entries = out.entries.copy()
+            entries = permutation_matrix(diagram, sigma)
             off = np.abs(entries) * (1 - np.eye(len(entries)))
             entries[np.unravel_index(np.argmax(off), entries.shape)] *= -1
-            return IrrepMatrix(out.diagram, out.basis, entries)
+            return entries
 
         monkeypatch.setattr(verification, "permutation_matrix", flipped)
         check = verify_check(runner, partition, d, "orthogonal-form cross-check")
@@ -470,6 +469,20 @@ class TestMaximize:
         )
         assert result.exit_code == 1
         assert "[FAIL] ascent converged" in result.output
+
+    def test_trace_holds_each_restart_objective(self, runner):
+        args = ["maximize", "--partition", "2,1", "--d", "2", "--format", "json"]
+        result = runner.invoke(main, [*args, "--trace"])
+        assert result.exit_code == 0, result.output
+        payload = json.loads(result.output)
+        traces = payload["report"]["objective_traces"]
+        assert len(traces) == payload["restarts"]
+        for trace in traces:
+            assert all(later >= earlier - 1e-12 for earlier, later in zip(trace, trace[1:]))
+        best = int(payload["checks"][0]["detail"].split()[2])  # "best restart <i> after ..."
+        assert traces[best][-1] == payload["best_lambda1_sq"]
+        plain = runner.invoke(main, args)
+        assert "objective_traces" not in json.loads(plain.output)["report"]
 
 
 class TestSweep:
@@ -640,17 +653,21 @@ class TestMemoryEstimate:
     # a sector dim V = 2 vectors, and the weights {0,0,1} and {0,1,1} carry
     # one filling each: two weight blocks of 3 rows and f = 2 columns
     @pytest.mark.parametrize("args, need", [
-        # maximize: the blocks and the ascent's 16 vectors, which outweigh
-        # the build's two row maps of 6 rows and the Gram check of a block
-        (["maximize", "--partition", "2,1", "--d", "2"], 16 * 3 * 2 * 2 + 16 * 16 * 8),
+        # maximize: the blocks and the ascent's 16 vectors and records of
+        # 32 random restarts and a seeded one, each 128 bytes and 500
+        # objective values of 40 bytes, which outweigh the build's two row
+        # maps of 6 rows and the Gram check of a block
+        (["maximize", "--partition", "2,1", "--d", "2"],
+         16 * 3 * 2 * 2 + 16 * 16 * 8 + 33 * (128 + 40 * 500)),
         # verify: its sample checks, 13 vectors for each of the 5 samples,
         # outweigh the blocks, 5 row maps and 16 vectors,
         # 16 * 3 * 2 * 2 + 8 * 6 * 5 + 16 * 16 * 8
         (["verify", "--partition", "2,1", "--d", "2"], 16 * 8 * 13 * 5),
         # its dense block would be 14.1 GB; its weight blocks hold
         # f * 120960 amplitudes, f = 168, beside the ascent's 16 vectors
+        # and its 33 restart records
         (["maximize", "--partition", "3,3,2,1", "--d", "4"],
-         16 * 168 * 120960 + 16 * 16 * 4**9),
+         16 * 168 * 120960 + 16 * 16 * 4**9 + 33 * (128 + 40 * 500)),
     ], ids=["maximize", "verify", "maximize-3321-d4"])
     def test_run_over_physical_memory_is_usage_error(self, runner, monkeypatch, args, need):
         import schurweyl.cli as cli
@@ -687,11 +704,13 @@ class TestMemoryEstimate:
         import schurweyl.cli as cli
 
         diagram = YoungDiagram.from_string(partition)
-        need = cli._memory_need(diagram, d, 2 if command == "verify" else None)
+        if command == "verify":
+            need = cli._memory_need(diagram, d, 2)
+        else:  # one random restart, as traced below
+            need = cli._memory_need(diagram, d, ascent=MaximizeConfig(restarts=1))
         monkeypatch.setattr(cli, "_physical_memory", lambda: need - 1)
         args = [command, "--partition", partition, "--d", str(d)]
-        if command == "verify":
-            args += ["--samples", "2"]
+        args += ["--samples", "2"] if command == "verify" else ["--restarts", "1"]
         result = runner.invoke(main, args)
         assert result.exit_code == 2, result.output
         assert f"about {need} bytes" in result.output
@@ -797,8 +816,11 @@ COLUMN_1200 = ",".join(["1"] * 1200)
     (["maximize", "--partition", str(MAXDIMS + 1)], 2),
     (["verify", "--partition", str(MAXDIMS - 1)], 0),
     (["maximize", "--partition", str(MAXDIMS)], 0),
+    # each restart keeps a record: too many are over memory, not a MemoryError
+    (["maximize", "--partition", "2,1", "--restarts", "99999999999"], 2),
 ], ids=["tableaux-row-1200", "tableaux-column-1200", "bound-column-1200",
-        "verify-over-rank", "maximize-over-rank", "verify-at-rank", "maximize-at-rank"])
+        "verify-over-rank", "maximize-over-rank", "verify-at-rank", "maximize-at-rank",
+        "maximize-huge-restarts"])
 def test_boundary_inputs_keep_the_exit_contract(args, code):
     # exit 0 success, 1 only with a FAIL line, 2 usage error; never a traceback
     proc = subprocess.run(

@@ -1,7 +1,10 @@
 """The package's public names: each resolves, on first use, to the object
-its home module defines, and ``__all__`` lists exactly them."""
+its home module defines, and ``__all__`` lists exactly them.  Its modules
+import no name they never read."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -12,20 +15,17 @@ PUBLIC = {
     "young": [
         "Box", "StandardTableau", "YoungDiagram", "axial_distance", "bound_for_box",
         "column_ordered_tableau", "dim_symmetric_group_irrep", "dim_unitary_group_irrep",
-        "dominates", "entropy_lower_bound", "enumerate_semistandard_tableaux",
+        "entropy_lower_bound", "enumerate_semistandard_tableaux",
         "enumerate_standard_tableaux", "hook_length", "iter_partitions",
         "iter_standard_tableaux", "max_schmidt_bound", "partitions_of", "removable_boxes",
-        "remove_largest", "row_ordered_tableau", "split_tableau", "tableau_with_largest_in",
+        "remove_largest", "row_ordered_tableau", "tableau_with_largest_in",
     ],
-    "orthogonal_form": [
-        "IrrepMatrix", "Permutation", "adjacent_transposition_matrix", "permutation_matrix",
-        "permutation_sign",
-    ],
+    "orthogonal_form": ["Permutation", "permutation_matrix", "permutation_sign"],
     "tensor_space": [
         "OperatorExpr", "TensorState", "WeightBlocks", "antisymmetrizer",
-        "apply_local_unitary", "apply_permutation", "block_basis", "closed_form_projector",
+        "apply_local_unitary", "block_basis", "closed_form_projector",
         "column_antisymmetrizer", "orthogonal_projector", "random_state", "row_symmetrizer",
-        "subspace_basis", "swap_factors", "symmetrizer", "young_projection",
+        "subspace_basis", "symmetrizer",
     ],
     "spectral": [
         "MaximizationReport", "MaximizeConfig", "SchmidtResult", "entanglement_entropy",
@@ -33,8 +33,7 @@ PUBLIC = {
         "verify_fixed_point",
     ],
     "special_states": [
-        "OrthonormalFrame", "coherent_state", "coleman_equality_check", "optimizer_state",
-        "slater",
+        "OrthonormalFrame", "coherent_state", "optimizer_state", "slater",
     ],
     "verification": ["CheckResult", "run_verification"],
 }
@@ -64,3 +63,24 @@ def test_star_import_binds_every_name():
 def test_unknown_name_is_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'nope'"):
         schurweyl.nope
+
+
+def test_no_unused_imports():
+    # every name an import binds in a module, ``__future__`` aside, is read
+    # somewhere in it; ``__init__`` holds only the table of exports
+    unused = []
+    for path in sorted(Path(schurweyl.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        read = {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound = (alias.asname or alias.name.split(".")[0] for alias in node.names)
+                unused += [f"{path.name}: {name}" for name in bound if name not in read]
+    assert not unused

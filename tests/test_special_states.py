@@ -6,7 +6,6 @@ import pytest
 from schurweyl.special_states import (
     OrthonormalFrame,
     coherent_state,
-    coleman_equality_check,
     optimizer_state,
     slater,
 )
@@ -194,37 +193,30 @@ class TestNonCoherentSaturator:
         assert lam**2 == pytest.approx(0.5, abs=1e-10)
 
 
+def antisymmetric_norm_sq(phi, u):
+    """|P_A(phi x u)|^2 for the antisymmetrizer on all factors."""
+    return antisymmetrizer(phi.local_dim, phi.n_factors + 1)(phi.tensor(u)).norm() ** 2
+
+
 class TestColemanCondition:
+    # for an antisymmetric phi of k-1 factors, |P_A(phi x u)|^2 reaches
+    # |phi|^2 / k exactly when u is orthogonal to every vector of phi
     def test_orthogonal_vector_reaches_equality(self):
         frame = OrthonormalFrame.standard(3)
         phi = slater(frame, [0, 1])
-        norm_sq, ok = coleman_equality_check(phi, frame[2])
-        assert ok
-        assert norm_sq == pytest.approx(1 / 3, abs=1e-12)
+        assert antisymmetric_norm_sq(phi, frame[2]) == pytest.approx(1 / 3, abs=1e-12)
 
     def test_contained_vector_collapses(self):
         frame = OrthonormalFrame.standard(3)
         phi = slater(frame, [0, 1])
-        norm_sq, ok = coleman_equality_check(phi, frame[0])
-        assert not ok
-        assert norm_sq == pytest.approx(0.0, abs=1e-12)
+        assert antisymmetric_norm_sq(phi, frame[0]) == pytest.approx(0.0, abs=1e-12)
 
     def test_partial_overlap(self):
         frame = OrthonormalFrame.standard(3)
         phi = slater(frame, [0, 1])
         u = TensorState.single(np.array([1, 0, 1]) / math.sqrt(2))
-        norm_sq, ok = coleman_equality_check(phi, u)
-        assert not ok
-        assert norm_sq == pytest.approx(1 / 6, abs=1e-12)
+        assert antisymmetric_norm_sq(phi, u) == pytest.approx(1 / 6, abs=1e-12)
 
     def test_two_factor_case(self):
         frame = OrthonormalFrame.standard(2)
-        norm_sq, ok = coleman_equality_check(frame[0], frame[1])
-        assert ok
-        assert norm_sq == pytest.approx(0.5, abs=1e-14)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            coleman_equality_check(
-                TensorState.single([1, 0]), TensorState.single([1, 0, 0])
-            )
+        assert antisymmetric_norm_sq(frame[0], frame[1]) == pytest.approx(0.5, abs=1e-14)

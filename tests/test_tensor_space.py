@@ -11,10 +11,13 @@ from schurweyl.orthogonal_form import Permutation
 from schurweyl.tensor_space import (
     OperatorExpr,
     TensorState,
+    _column_parts,
+    _compose,
+    _normalization,
     _rotated,
+    _row_parts,
     antisymmetrizer,
     apply_local_unitary,
-    apply_permutation,
     block_basis,
     closed_form_projector,
     column_antisymmetrizer,
@@ -23,9 +26,7 @@ from schurweyl.tensor_space import (
     random_state,
     row_symmetrizer,
     subspace_basis,
-    swap_factors,
     symmetrizer,
-    young_projection,
 )
 from schurweyl.young import (
     StandardTableau,
@@ -33,7 +34,6 @@ from schurweyl.young import (
     axial_distance,
     column_ordered_tableau,
     dim_unitary_group_irrep,
-    dominates,
     enumerate_standard_tableaux,
     partitions_of,
     remove_largest,
@@ -41,6 +41,13 @@ from schurweyl.young import (
 )
 
 RNG = np.random.default_rng(20240811)
+
+
+def young_projection(t, d):
+    """The tableau's Young symmetrizer: its row symmetrizers times its column
+    antisymmetrizers, composed and scaled as the closed forms are.
+    Idempotent but generally not hermitian."""
+    return _compose(d, t.n, [*_row_parts(t, d), *_column_parts(t, d)], _normalization(t.diagram))
 
 
 def haar_unitary(d, rng):
@@ -74,55 +81,58 @@ class TestTensorState:
 
     def test_json_round_trip(self):
         psi = random_state(2, 3, RNG)
-        blob = json.dumps(psi.to_json_dict())
-        back = TensorState.from_json_dict(json.loads(blob))
+        obj = json.loads(json.dumps(psi.to_json_dict()))
+        back = TensorState(obj["d"], obj["n"], [complex(re, im) for re, im in obj["amplitudes"]])
         assert back.local_dim == 2 and back.n_factors == 3
         np.testing.assert_allclose(back.amplitudes, psi.amplitudes)
 
 
+def batch_of(states):
+    """The states' amplitudes as the columns of a (d^n, batch) matrix."""
+    return np.column_stack([x.amplitudes for x in states])
+
+
 class TestPermutationAction:
+    # permute_matrix_columns, on a flat vector and on a (d^n, batch) matrix
     def test_identity(self):
-        psi = random_state(2, 3, RNG)
-        out = apply_permutation(Permutation.identity(3), psi)
-        np.testing.assert_allclose(out.amplitudes, psi.amplitudes)
+        mat = batch_of([random_state(2, 3, RNG) for _ in range(2)])
+        sigma = Permutation.identity(3)
+        np.testing.assert_array_equal(permute_matrix_columns(sigma, mat[:, 0], 2, 3), mat[:, 0])
+        np.testing.assert_array_equal(permute_matrix_columns(sigma, mat, 2, 3), mat)
 
     def test_swap_basis_state(self):
         psi = TensorState.product_basis(2, [0, 1])
-        out = apply_permutation(Permutation.transposition(2, 1, 2), psi)
-        np.testing.assert_allclose(
-            out.amplitudes, TensorState.product_basis(2, [1, 0]).amplitudes
-        )
+        out = permute_matrix_columns(Permutation.transposition(2, 1, 2), psi.amplitudes, 2, 2)
+        np.testing.assert_array_equal(out, TensorState.product_basis(2, [1, 0]).amplitudes)
 
     def test_contents_move_to_image_slot(self):
         # sigma = (1 2 3): factor k moves to factor sigma(k)
         sigma = Permutation((2, 3, 1))
-        psi = TensorState.product_basis(2, [1, 0, 0])
-        out = apply_permutation(sigma, psi)
-        np.testing.assert_allclose(
-            out.amplitudes, TensorState.product_basis(2, [0, 1, 0]).amplitudes
-        )
+        sources = [(1, 0, 0), (0, 1, 1), (1, 1, 0)]
+        mat = batch_of([TensorState.product_basis(2, idx) for idx in sources])
+        images = batch_of([TensorState.product_basis(2, (c, a, b)) for a, b, c in sources])
+        np.testing.assert_array_equal(permute_matrix_columns(sigma, mat[:, 0], 2, 3), images[:, 0])
+        np.testing.assert_array_equal(permute_matrix_columns(sigma, mat, 2, 3), images)
 
     def test_cycle_order(self):
         sigma = Permutation((2, 3, 1))
-        psi = random_state(2, 3, RNG)
-        out = psi
-        for _ in range(3):
-            out = apply_permutation(sigma, out)
-        assert (out - psi).norm() < 1e-13
+        mat = batch_of([random_state(2, 3, RNG) for _ in range(3)])
+        for start in (mat[:, 0], mat):
+            out = start
+            for _ in range(3):
+                out = permute_matrix_columns(sigma, out, 2, 3)
+            np.testing.assert_array_equal(out, start)
 
     def test_homomorphism(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
             sigma = Permutation.random(4, rng)
             tau = Permutation.random(4, rng)
-            psi = random_state(2, 4, rng)
-            lhs = apply_permutation(sigma * tau, psi)
-            rhs = apply_permutation(sigma, apply_permutation(tau, psi))
-            assert (lhs - rhs).norm() < 1e-13
-
-    def test_size_mismatch(self):
-        with pytest.raises(ValueError):
-            apply_permutation(Permutation.identity(2), random_state(2, 3, RNG))
+            mat = batch_of([random_state(2, 4, rng) for _ in range(3)])
+            for x in (mat[:, 0], mat):
+                lhs = permute_matrix_columns(sigma * tau, x, 2, 4)
+                rhs = permute_matrix_columns(sigma, permute_matrix_columns(tau, x, 2, 4), 2, 4)
+                np.testing.assert_array_equal(lhs, rhs)
 
     @pytest.mark.parametrize("d, n", [(2, 4), (3, 3)])
     def test_permutation_sum_matches_single_actions(self, d, n):
@@ -143,7 +153,7 @@ class TestPermutationAction:
         for col, x in enumerate(states):
             expected = x.amplitudes
             for scale, shift, terms in reversed(stages):
-                acted = [sign * apply_permutation(sigma, TensorState(d, n, expected)).amplitudes
+                acted = [sign * permute_matrix_columns(sigma, expected, d, n)
                          for sign, sigma in terms]
                 expected = float(scale) * (float(shift) * expected + sum(acted))
             np.testing.assert_allclose(op._apply_raw(x.amplitudes), expected, atol=1e-13)
@@ -158,10 +168,13 @@ class TestPermutationAction:
             OperatorExpr(2, 4, [(1, 0, ((1, swap),))])
 
     def test_swap_factors(self):
-        psi = random_state(2, 4, RNG)
-        assert swap_factors(psi, 2, 2) is psi
-        double = swap_factors(swap_factors(psi, 1, 3), 1, 3)
-        assert (double - psi).norm() < 1e-14
+        # swapping two factors undoes itself, and a factor with itself is
+        # the identity, which returns its input
+        vec = random_state(2, 4, RNG).amplitudes
+        assert permute_matrix_columns(Permutation.transposition(4, 2, 2), vec, 2, 4) is vec
+        swap = Permutation.transposition(4, 1, 3)
+        double = permute_matrix_columns(swap, permute_matrix_columns(swap, vec, 2, 4), 2, 4)
+        np.testing.assert_array_equal(double, vec)
 
 
 class TestSymmetrizers:
@@ -509,7 +522,9 @@ def scan_basis(t, d):
     for idx in itertools.product(range(d), repeat=t.n):
         if len(kept) == expected:
             break
-        if not dominates(dg.rows, tuple(sorted(Counter(idx).values(), reverse=True))):
+        # dominance: every prefix sum of the rows reaches the multiplicities'
+        counts = sorted(Counter(idx).values(), reverse=True)
+        if any(sum(dg.rows[:i]) < sum(counts[:i]) for i in range(1, len(counts) + 1)):
             continue
         vec = proj._apply_raw(TensorState.product_basis(d, idx).amplitudes)
         for _ in range(2):
@@ -697,10 +712,10 @@ class TestAlignedBases:
         sigma = Permutation.transposition(3, 2, 3)
         from schurweyl.orthogonal_form import permutation_matrix
 
-        m = permutation_matrix(dg, sigma).entries
+        m = permutation_matrix(dg, sigma)
         for ti, v_t in enumerate(sectors):
-            for a, vec in enumerate(columns(v_t, 2, 3)):
-                image = apply_permutation(sigma, vec)
+            moved = permute_matrix_columns(sigma, v_t, 2, 3)
+            for a, image in enumerate(columns(moved, 2, 3)):
                 for si, v_s in enumerate(sectors):
                     for b, w in enumerate(columns(v_s, 2, 3)):
                         expected = m[si, ti] if a == b else 0.0
@@ -734,7 +749,8 @@ class TestAlignedBases:
 
         psi = random_state(2, 4, np.random.default_rng(11))
         k = 2
-        moved = swap_factors(psi, k, 4)
+        swap = Permutation.transposition(4, k, 4)
+        moved = TensorState(2, 4, permute_matrix_columns(swap, psi.amplitudes, 2, 4))
         coeffs = schmidt_decompose(moved, 3).coefficients
         rho = reduced_density_matrix(psi, {k})
         eigs = np.sort(np.linalg.eigvalsh(rho))[::-1]

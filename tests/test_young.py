@@ -18,7 +18,6 @@ from schurweyl.young import (
     column_ordered_tableau,
     dim_symmetric_group_irrep,
     dim_unitary_group_irrep,
-    dominates,
     entropy_lower_bound,
     enumerate_semistandard_tableaux,
     enumerate_standard_tableaux,
@@ -30,7 +29,6 @@ from schurweyl.young import (
     removable_boxes,
     remove_largest,
     row_ordered_tableau,
-    split_tableau,
     tableau_with_largest_in,
 )
 
@@ -482,32 +480,6 @@ class TestTableauOperations:
             smaller = remove_largest(t)
             assert smaller.n == t.n - 1
 
-    def test_split_examples(self):
-        t = StandardTableau(((1, 3), (2, 4)))
-        t_a, t_b = split_tableau(t, 2)
-        assert t_a.rows == ((1,), (2,))
-        assert t_b is not None and t_b.rows == ((1,), (2,))
-
-        t = StandardTableau(((1, 3), (2,)))
-        t_a, t_b = split_tableau(t, 1)
-        assert t_a.rows == ((1,),)
-        assert t_b is None
-
-    def test_split_row_block(self):
-        # entries 3,4 fill row 2 completely: a vertically translated row shape
-        t_a, t_b = split_tableau(StandardTableau(((1, 2), (3, 4))), 2)
-        assert t_a.rows == ((1, 2),)
-        assert t_b is not None and t_b.rows == ((1, 2),)
-
-    @given(partition_strategy(max_n=6), st.randoms())
-    def test_split_last_entry(self, dg, rnd):
-        tableaux = enumerate_standard_tableaux(dg)
-        t = rnd.choice(tableaux)
-        if t.n >= 2:
-            t_a, t_b = split_tableau(t, t.n - 1)
-            assert t_a == remove_largest(t)
-            assert t_b is not None and t_b.rows == ((1,),)
-
     def test_axial_distance_examples(self):
         t = StandardTableau(((1, 2), (3,)))
         assert axial_distance(t, 1) == 1
@@ -527,14 +499,3 @@ class TestTableauOperations:
             if not same_row and not same_col:
                 assert abs(r) >= 2
 
-
-class TestDominance:
-    def test_examples(self):
-        assert dominates((2, 2), (2, 1, 1))
-        assert not dominates((2, 1, 1), (2, 2))
-        assert dominates((3, 1), (2, 2))
-        assert dominates((2, 2), (2, 2))
-
-    def test_requires_equal_weight(self):
-        with pytest.raises(ValueError):
-            dominates((2,), (1,))
