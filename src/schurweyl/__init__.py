@@ -63,7 +63,6 @@ _EXPORTS = {
         "verify_fixed_point",
     ),
     "special_states": (
-        "OrthonormalFrame",
         "coherent_state",
         "optimizer_state",
         "slater",

@@ -356,12 +356,9 @@ def maximize(ctx: click.Context, partition: str, d: int | None, cut: int | None,
     if not 1 <= cut <= n - 1:
         raise click.UsageError(f"cut must lie in 1..{n - 1}")
     if d < diagram.n_rows:
-        click.echo(
-            f"warning: d={d} is below the number of rows {diagram.n_rows}; "
-            "the block is empty",
-            err=True,
+        raise click.UsageError(
+            f"d={d} is below the number of rows {diagram.n_rows}; the block is empty"
         )
-        raise click.UsageError("no block to maximize over at this d")
     _check_memory(diagram, d, ascent=config)
     exact, witness = max_schmidt_bound(diagram)
 

@@ -1,11 +1,11 @@
 """Explicit states: Slater determinants, coherent states of column-ordered
-tableaux and bound-saturating optimizers."""
+tableaux and bound-saturating optimizers, all built on the basis vectors
+e_0..e_{d-1}."""
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -21,63 +21,22 @@ from .young import (
 )
 
 
-@dataclass(frozen=True)
-class OrthonormalFrame:
-    """Tuple of pairwise-orthonormal one-factor vectors in C^d."""
-
-    vectors: tuple[TensorState, ...]
-
-    def __post_init__(self) -> None:
-        vectors = tuple(self.vectors)
-        object.__setattr__(self, "vectors", vectors)
-        if not vectors:
-            raise ValueError("frame must contain at least one vector")
-        d = vectors[0].local_dim
-        for v in vectors:
-            if v.n_factors != 1:
-                raise ValueError("frame vectors must be one-factor states")
-            if v.local_dim != d:
-                raise ValueError("frame vectors must share the local dimension")
-        mat = np.column_stack([v.amplitudes for v in vectors])
-        gram = mat.conj().T @ mat
-        if np.abs(gram - np.eye(len(vectors))).max() > 1e-12:
-            raise ValueError("frame vectors are not orthonormal")
-
-    @classmethod
-    def standard(cls, d: int, count: int | None = None) -> OrthonormalFrame:
-        """Computational basis vectors e_0, ..., e_{count-1}."""
-        count = d if count is None else count
-        if not 1 <= count <= d:
-            raise ValueError(f"count must lie in 1..{d}")
-        return cls(tuple(TensorState.unit(d, 1, i) for i in range(count)))
-
-    @property
-    def local_dim(self) -> int:
-        return self.vectors[0].local_dim
-
-    def __len__(self) -> int:
-        return len(self.vectors)
-
-    def __getitem__(self, i: int) -> TensorState:
-        return self.vectors[i]
-
-
-def slater(frame: OrthonormalFrame, indices: Sequence[int]) -> TensorState:
-    """Normalized fully antisymmetric product of the selected frame vectors."""
+def slater(d: int, indices: Sequence[int]) -> TensorState:
+    """Normalized fully antisymmetric product of the basis vectors e_i, i in indices."""
     indices = list(indices)
     if len(set(indices)) != len(indices):
         raise ValueError("repeated indices in a Slater determinant")
     if not indices:
         raise ValueError("need at least one vector")
+    if any(not 0 <= i < d for i in indices):
+        raise ValueError(f"indices must lie in 0..{d - 1}")
     k = len(indices)
-    vecs = [frame[i].amplitudes for i in indices]
-    d = frame.local_dim
     out = np.zeros(d**k, dtype=np.complex128)
     for perm in itertools.permutations(range(k)):
-        term = vecs[perm[0]]
-        for p in perm[1:]:
-            term = np.kron(term, vecs[p])
-        out += permutation_sign(perm) * term
+        flat = 0
+        for p in perm:
+            flat = flat * d + indices[p]
+        out[flat] = permutation_sign(perm)
     return TensorState(d, k, out / math.sqrt(math.factorial(k)))
 
 
@@ -88,31 +47,22 @@ def _tensor_chain(parts: Sequence[TensorState]) -> TensorState:
     return state
 
 
-def coherent_state(
-    t: StandardTableau, frame: OrthonormalFrame | None = None, d: int | None = None
-) -> TensorState:
+def coherent_state(t: StandardTableau, d: int) -> TensorState:
     """Product of nested column Slaters lying in the sector of a column-ordered tableau.
 
-    Column j contributes the Slater determinant of the first c_j frame
-    vectors; a single column gives a plain Slater determinant and a single
-    row a power of the first vector.
+    Column j contributes the Slater determinant of the basis vectors
+    e_0..e_{c_j-1}; a single column gives a plain Slater determinant and a
+    single row a power of e_0.
     """
     if not t.is_column_ordered():
         raise ValueError("coherent states require a column-ordered tableau")
     cols = t.diagram.columns
-    d = cols[0] if d is None else d
-    frame = OrthonormalFrame.standard(d, cols[0]) if frame is None else frame
-    if d < cols[0] or len(frame) < cols[0]:
-        raise ValueError("need d and frame size at least the first column length")
-    return _tensor_chain([slater(frame, range(c)) for c in cols])
+    if d < cols[0]:
+        raise ValueError("need d at least the first column length")
+    return _tensor_chain([slater(d, range(c)) for c in cols])
 
 
-def optimizer_state(
-    diagram: YoungDiagram,
-    box: Box,
-    frame: OrthonormalFrame | None = None,
-    d: int | None = None,
-) -> TensorState:
+def optimizer_state(diagram: YoungDiagram, box: Box, d: int) -> TensorState:
     """State saturating the hook-length bound of one removable box.
 
     Columns left of the box contribute full Slater determinants.  The
@@ -126,23 +76,18 @@ def optimizer_state(
     if box not in removable_boxes(diagram):
         raise ValueError(f"box {box} is not removable from ({diagram})")
     cols = diagram.columns
-    c1 = cols[0]
-    d = c1 if d is None else d
-    if d < c1:
+    if d < cols[0]:
         raise ValueError("need d at least the first column length")
-    frame = OrthonormalFrame.standard(d, c1) if frame is None else frame
-    if len(frame) < c1:
-        raise ValueError("frame too small for this diagram")
     l = box.col
     c_l = cols[l - 1]
 
-    left_parts = [slater(frame, range(c)) for c in cols[: l - 1]]
+    left_parts = [slater(d, range(c)) for c in cols[: l - 1]]
 
     right_parts = []
     if c_l > 1:
-        right_parts.append(slater(frame, range(c_l - 1)))
-    right_parts.extend(slater(frame, range(c)) for c in cols[l:])
-    right_parts.append(frame[c_l - 1])
+        right_parts.append(slater(d, range(c_l - 1)))
+    right_parts.extend(slater(d, range(c)) for c in cols[l:])
+    right_parts.append(TensorState.unit(d, 1, c_l - 1))
     raw = _tensor_chain(right_parts)
 
     tail_diagram = YoungDiagram((c_l, *cols[l:])).conjugate()
@@ -152,4 +97,3 @@ def optimizer_state(
     if not left_parts:
         return projected
     return _tensor_chain(left_parts).tensor(projected)
-

@@ -76,12 +76,6 @@ class TensorState:
         amps[flat] = 1.0
         return cls(d, n, amps)
 
-    @classmethod
-    def single(cls, vector) -> TensorState:
-        """One-factor state from a length-d vector."""
-        vec = np.asarray(vector, dtype=np.complex128).reshape(-1)
-        return cls(vec.shape[0], 1, vec)
-
     def nd(self) -> np.ndarray:
         """Read-only view shaped (d,)*n, axis k holding factor k+1."""
         return self.amplitudes.reshape((self.local_dim,) * self.n_factors)

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain, combinations_with_replacement
+from itertools import combinations_with_replacement
 from typing import Iterator, NamedTuple
 
 
@@ -395,15 +395,12 @@ def _standard_fillings(shape: tuple[int, ...]) -> list[Rows]:
     return level[shape]
 
 
-def _row_word(rows: Rows) -> tuple[int, ...]:
-    return tuple(chain.from_iterable(rows))
-
-
 def iter_standard_tableaux(diagram: YoungDiagram) -> Iterator[StandardTableau]:
     """The standard tableaux of a shape, sorted by row-reading word, each
     validated as it is yielded.  Nothing is kept after the listing: the
-    fillings' row tuples live only while it runs."""
-    for rows in sorted(_standard_fillings(diagram.rows), key=_row_word):
+    fillings' row tuples live only while it runs.  Every filling has the
+    same row lengths, so the row tuples themselves sort in row-word order."""
+    for rows in sorted(_standard_fillings(diagram.rows)):
         yield StandardTableau(rows)
 
 

@@ -21,7 +21,7 @@ except ImportError:  # numpy 1.x
 from schurweyl.cli import _emit_json, main
 from schurweyl.orthogonal_form import permutation_matrix
 from schurweyl.spectral import MaximizeConfig, max_lambda1_over_subspace
-from schurweyl.tensor_space import OperatorExpr, WeightBlocks, block_basis
+from schurweyl.tensor_space import OperatorExpr, TensorState, WeightBlocks, block_basis
 from schurweyl.verification import CheckResult, run_verification
 from schurweyl.young import (
     YoungDiagram,
@@ -58,15 +58,18 @@ def runner():
     return CliRunner()
 
 
-def verify_check(runner, partition, d, name):
+def verify_checks(runner, partition, d):
     result = runner.invoke(
         main,
         ["verify", "--partition", partition, "--d", str(d), "--samples", "2",
          "--format", "json"],
     )
     assert result.exit_code in (0, 1), result.output
-    checks = json.loads(result.output)["checks"]
-    return next(c for c in checks if c["name"] == name)
+    return {c["name"]: c for c in json.loads(result.output)["checks"]}
+
+
+def verify_check(runner, partition, d, name):
+    return verify_checks(runner, partition, d)[name]
 
 
 class Phased(OperatorExpr):
@@ -351,6 +354,51 @@ class TestVerify:
         check = verify_check(runner, "3,2,1", 3, "shared-corner Schmidt spectra")
         assert check["passed"] is False
 
+    def test_saturation_sees_another_corners_state(self, runner, monkeypatch):
+        # each box gets the optimizer of the next removable box: a fixed
+        # point still, but of another sector and another bound
+        import schurweyl.verification as verification
+
+        optimizer = verification.optimizer_state
+
+        def next_corner(diagram, box, d):
+            boxes = removable_boxes(diagram)
+            return optimizer(diagram, boxes[(boxes.index(box) + 1) % len(boxes)], d=d)
+
+        monkeypatch.setattr(verification, "optimizer_state", next_corner)
+        checks = verify_checks(runner, "3,2,1", 3)
+        assert checks["saturation of the exact bound"]["passed"] is False
+        assert checks["saturating-state membership"]["passed"] is False
+        assert checks["saturating-state membership"]["residual"] == pytest.approx(1.0)
+        assert checks["saturating-state fixed point"]["passed"] is True
+
+    def test_fixed_point_sees_mixed_corners(self, runner, monkeypatch):
+        # the normalized sum of two corners' optimizers is no fixed point
+        import schurweyl.verification as verification
+
+        optimizer = verification.optimizer_state
+
+        def mixed(diagram, box, d):
+            boxes = removable_boxes(diagram)
+            other = boxes[(boxes.index(box) + 1) % len(boxes)]
+            return (optimizer(diagram, box, d=d) + optimizer(diagram, other, d=d)).normalized()
+
+        monkeypatch.setattr(verification, "optimizer_state", mixed)
+        check = verify_check(runner, "3,2,1", 3, "saturating-state fixed point")
+        assert check["passed"] is False
+
+    def test_coherent_membership_sees_product_state(self, runner, monkeypatch):
+        # e_0 on every factor lies in no sector of a shape with more than one row
+        import schurweyl.verification as verification
+
+        monkeypatch.setattr(
+            verification, "coherent_state",
+            lambda t, d: TensorState.unit(d, t.diagram.n_boxes, 0),
+        )
+        check = verify_check(runner, "3,2,1", 3, "coherent-state membership")
+        assert check["passed"] is False
+        assert check["residual"] == pytest.approx(1.0)
+
     @pytest.mark.slow
     def test_large_case_within_cap(self, runner):
         # d**n = 4**7 = 16384 amplitudes per vector, about 35 MiB at the peak
@@ -409,6 +457,8 @@ class TestMaximize:
     def test_d_below_rows_is_usage_error(self, runner):
         result = runner.invoke(main, ["maximize", "--partition", "1,1,1", "--d", "2"])
         assert result.exit_code == 2
+        assert "d=2 is below the number of rows 3" in result.output
+        assert not any(line.startswith("warning:") for line in result.output.splitlines())
 
     def test_interior_cut(self, runner):
         result = runner.invoke(

@@ -33,7 +33,7 @@ PUBLIC = {
         "verify_fixed_point",
     ],
     "special_states": [
-        "OrthonormalFrame", "coherent_state", "optimizer_state", "slater",
+        "coherent_state", "optimizer_state", "slater",
     ],
     "verification": ["CheckResult", "run_verification"],
 }

@@ -1,14 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from schurweyl.special_states import (
-    OrthonormalFrame,
-    coherent_state,
-    optimizer_state,
-    slater,
-)
+from schurweyl.special_states import coherent_state, optimizer_state, slater
 from schurweyl.spectral import schmidt_decompose
 from schurweyl.tensor_space import (
     TensorState,
@@ -34,55 +30,53 @@ def haar_unitary(d, rng):
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
-class TestFrame:
-    def test_standard(self):
-        frame = OrthonormalFrame.standard(3, 2)
-        assert len(frame) == 2
-        assert frame.local_dim == 3
-
-    def test_rejects_non_orthonormal(self):
-        v = TensorState.single([1, 0])
-        with pytest.raises(ValueError, match="orthonormal"):
-            OrthonormalFrame((v, v))
-
-    def test_rejects_multi_factor(self):
-        with pytest.raises(ValueError):
-            OrthonormalFrame((TensorState.product_basis(2, [0, 1]),))
-
-
 class TestSlater:
     def test_single_vector(self):
-        frame = OrthonormalFrame.standard(2)
-        psi = slater(frame, [1])
+        psi = slater(2, [1])
         np.testing.assert_allclose(psi.amplitudes, [0, 1])
 
     def test_two_vectors_give_singlet(self):
-        frame = OrthonormalFrame.standard(2)
-        psi = slater(frame, [0, 1])
+        psi = slater(2, [0, 1])
         expected = (
             TensorState.product_basis(2, [0, 1]) - TensorState.product_basis(2, [1, 0])
         ).normalized()
         assert min((psi - expected).norm(), (psi + expected).norm()) < 1e-14
 
     def test_antisymmetrizer_invariance(self):
-        frame = OrthonormalFrame.standard(3)
-        psi = slater(frame, [0, 1, 2])
+        psi = slater(3, [0, 1, 2])
         assert psi.norm() == pytest.approx(1.0, abs=1e-14)
         assert (antisymmetrizer(3, 3)(psi) - psi).norm() < 1e-12
 
     def test_repeated_indices(self):
-        frame = OrthonormalFrame.standard(3)
         with pytest.raises(ValueError, match="repeated"):
-            slater(frame, [0, 0])
+            slater(3, [0, 0])
+
+    @pytest.mark.parametrize("indices, message", [
+        ([], "at least one"), ([0, 3], "0..2"), ([-1], "0..2"),
+    ])
+    def test_rejects_empty_and_out_of_range(self, indices, message):
+        with pytest.raises(ValueError, match=message):
+            slater(3, indices)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_matches_antisymmetrized_product(self, k):
+        # the normalized antisymmetrization of e_{i_1} x ... x e_{i_k}
+        for d in (k, k + 1):
+            project = antisymmetrizer(d, k)
+            for idx in itertools.combinations(range(d), k):
+                oracle = project(TensorState.product_basis(d, idx)).amplitudes
+                np.testing.assert_allclose(
+                    slater(d, idx).amplitudes, math.sqrt(math.factorial(k)) * oracle,
+                    rtol=0, atol=1e-14,
+                )
 
 
 class TestCoherentState:
     def test_column_diagram_is_slater(self):
         dg = YoungDiagram((1, 1, 1))
         t = column_ordered_tableau(dg)
-        frame = OrthonormalFrame.standard(3)
-        psi = coherent_state(t, frame, 3)
-        assert (psi - slater(frame, [0, 1, 2])).norm() < 1e-14
+        psi = coherent_state(t, 3)
+        assert (psi - slater(3, [0, 1, 2])).norm() < 1e-14
 
     def test_row_diagram_is_power(self):
         dg = YoungDiagram((4,))
@@ -118,10 +112,9 @@ class TestOptimizerState:
     def test_fermion_column_is_slater(self):
         dg = YoungDiagram((1, 1, 1, 1))
         psi = optimizer_state(dg, Box(4, 1), d=4)
-        frame = OrthonormalFrame.standard(4)
         assert min(
-            (psi - slater(frame, [0, 1, 2, 3])).norm(),
-            (psi + slater(frame, [0, 1, 2, 3])).norm(),
+            (psi - slater(4, [0, 1, 2, 3])).norm(),
+            (psi + slater(4, [0, 1, 2, 3])).norm(),
         ) < 1e-12
         lam = schmidt_decompose(psi, 3).coefficients[0]
         assert lam**2 == pytest.approx(0.25, abs=1e-12)
@@ -161,30 +154,30 @@ class TestOptimizerState:
                 assert (proj(psi) - psi).norm() < 1e-8
 
     def test_frame_covariance(self):
+        # u on every factor commutes with the sector projectors, so the
+        # rotated optimizer stays in its sector and keeps its spectrum
         dg = YoungDiagram((2, 1))
         rng = np.random.default_rng(31)
         u = haar_unitary(3, rng)
-        base_frame = OrthonormalFrame.standard(3)
-        rotated = OrthonormalFrame(
-            tuple(TensorState.single(u @ v.amplitudes) for v in base_frame.vectors)
-        )
         for box in removable_boxes(dg):
-            psi_a = optimizer_state(dg, box, base_frame, 3)
-            psi_b = optimizer_state(dg, box, rotated, 3)
-            spec_a = schmidt_decompose(psi_a, 2).coefficients
-            spec_b = schmidt_decompose(psi_b, 2).coefficients
-            np.testing.assert_allclose(spec_a, spec_b, atol=1e-9)
-            # the rotated optimizer is the rotated state itself
-            assert (apply_local_unitary(psi_a, u) - psi_b).norm() < 1e-9
+            psi = optimizer_state(dg, box, 3)
+            rotated = apply_local_unitary(psi, u)
+            spec = schmidt_decompose(psi, 2).coefficients
+            spec_rotated = schmidt_decompose(rotated, 2).coefficients
+            np.testing.assert_allclose(spec, spec_rotated, atol=1e-9)
+            assert spec_rotated[0] ** 2 == pytest.approx(
+                float(bound_for_box(dg, box)), abs=1e-9
+            )
+            proj = orthogonal_projector(tableau_with_largest_in(dg, box), 3)
+            assert (proj(rotated) - rotated).norm() < 1e-9
 
 
 class TestNonCoherentSaturator:
     def test_symmetric_combination_of_slaters(self):
         # (|u1^u2> x |u1^u3> + |u1^u3> x |u1^u2>)/sqrt(2) sits in the sector
         # of [[1,3],[2,4]] and still reaches the optimal 1/2
-        frame = OrthonormalFrame.standard(3)
-        s12 = slater(frame, [0, 1])
-        s13 = slater(frame, [0, 2])
+        s12 = slater(3, [0, 1])
+        s13 = slater(3, [0, 2])
         psi = (s12.tensor(s13) + s13.tensor(s12)).normalized()
         t = StandardTableau(((1, 3), (2, 4)))
         proj = orthogonal_projector(t, 3)
@@ -202,21 +195,20 @@ class TestColemanCondition:
     # for an antisymmetric phi of k-1 factors, |P_A(phi x u)|^2 reaches
     # |phi|^2 / k exactly when u is orthogonal to every vector of phi
     def test_orthogonal_vector_reaches_equality(self):
-        frame = OrthonormalFrame.standard(3)
-        phi = slater(frame, [0, 1])
-        assert antisymmetric_norm_sq(phi, frame[2]) == pytest.approx(1 / 3, abs=1e-12)
+        phi = slater(3, [0, 1])
+        e2 = TensorState.unit(3, 1, 2)
+        assert antisymmetric_norm_sq(phi, e2) == pytest.approx(1 / 3, abs=1e-12)
 
     def test_contained_vector_collapses(self):
-        frame = OrthonormalFrame.standard(3)
-        phi = slater(frame, [0, 1])
-        assert antisymmetric_norm_sq(phi, frame[0]) == pytest.approx(0.0, abs=1e-12)
+        phi = slater(3, [0, 1])
+        e0 = TensorState.unit(3, 1, 0)
+        assert antisymmetric_norm_sq(phi, e0) == pytest.approx(0.0, abs=1e-12)
 
     def test_partial_overlap(self):
-        frame = OrthonormalFrame.standard(3)
-        phi = slater(frame, [0, 1])
-        u = TensorState.single(np.array([1, 0, 1]) / math.sqrt(2))
+        phi = slater(3, [0, 1])
+        u = TensorState(3, 1, np.array([1, 0, 1]) / math.sqrt(2))
         assert antisymmetric_norm_sq(phi, u) == pytest.approx(1 / 6, abs=1e-12)
 
     def test_two_factor_case(self):
-        frame = OrthonormalFrame.standard(2)
-        assert antisymmetric_norm_sq(frame[0], frame[1]) == pytest.approx(0.5, abs=1e-14)
+        e0, e1 = TensorState.unit(2, 1, 0), TensorState.unit(2, 1, 1)
+        assert antisymmetric_norm_sq(e0, e1) == pytest.approx(0.5, abs=1e-14)

@@ -12,7 +12,7 @@ from schurweyl.spectral import (
     verify_fixed_point,
 )
 from schurweyl.orthogonal_form import Permutation
-from schurweyl.special_states import OrthonormalFrame, optimizer_state, slater
+from schurweyl.special_states import optimizer_state, slater
 from schurweyl.tensor_space import (
     TensorState,
     WeightBlocks,
@@ -72,8 +72,7 @@ class TestReducedDensityMatrix:
         np.testing.assert_allclose(rho, np.eye(2) / 2, atol=1e-15)
 
     def test_slater_three(self):
-        frame = OrthonormalFrame.standard(3)
-        psi = slater(frame, [0, 1, 2])
+        psi = slater(3, [0, 1, 2])
         rho = reduced_density_matrix(psi, {3})
         np.testing.assert_allclose(rho, np.eye(3) / 3, atol=1e-14)
 
@@ -115,8 +114,7 @@ class TestSchmidt:
         np.testing.assert_allclose(sr.coefficients, [2**-0.5, 2**-0.5], atol=1e-15)
 
     def test_slater_flat_spectrum(self):
-        frame = OrthonormalFrame.standard(3)
-        psi = slater(frame, [0, 1, 2])
+        psi = slater(3, [0, 1, 2])
         sr = schmidt_decompose(psi, 2)
         np.testing.assert_allclose(sr.coefficients**2, [1 / 3] * 3, atol=1e-14)
 
@@ -157,8 +155,7 @@ class TestEntropy:
     def test_examples(self):
         assert entanglement_entropy(TensorState.product_basis(2, [0, 1]), 1) == 0.0
         assert entanglement_entropy(singlet(), 1) == pytest.approx(math.log(2))
-        frame = OrthonormalFrame.standard(3)
-        psi = slater(frame, [0, 1, 2])
+        psi = slater(3, [0, 1, 2])
         assert entanglement_entropy(psi, 2) == pytest.approx(math.log(3))
 
     def test_bounded_by_log_dims(self):
@@ -232,7 +229,7 @@ class TestMaximization:
 
     def test_rejects_pair_on_another_local_dimension(self):
         # the right factor has d = 3, the basis d = 2
-        pair = (TensorState.single([1, 0]), TensorState.single([0, 1, 0]))
+        pair = (TensorState(2, 1, [1, 0]), TensorState(3, 1, [0, 1, 0]))
         with pytest.raises(ValueError, match="local dimension 2"):
             max_lambda1_over_subspace(singlet_basis(), 1, initial_pairs=[pair])
 
@@ -245,7 +242,7 @@ class TestMaximization:
 
     def test_orthogonal_start_ending_on_reset_raises(self):
         # e0 x e0 has no singlet component: the only step resets the pair
-        e0 = TensorState.single([1, 0])
+        e0 = TensorState(2, 1, [1, 0])
         with pytest.raises(RuntimeError, match="no restart produced a state"):
             max_lambda1_over_subspace(
                 singlet_basis(), 1, MaximizeConfig(restarts=0, max_iterations=1),
@@ -253,7 +250,7 @@ class TestMaximization:
             )
 
     def test_random_restarts_follow_orthogonal_start(self):
-        e0 = TensorState.single([1, 0])
+        e0 = TensorState(2, 1, [1, 0])
         report = max_lambda1_over_subspace(
             singlet_basis(), 1, MaximizeConfig(restarts=2, max_iterations=1, seed=0),
             initial_pairs=[(e0, e0)],

@@ -74,8 +74,8 @@ class TestTensorState:
             psi.amplitudes[0] = 3.0
 
     def test_tensor_and_inner(self):
-        a = TensorState.single([1, 0])
-        b = TensorState.single([0, 1])
+        a = TensorState(2, 1, [1, 0])
+        b = TensorState(2, 1, [0, 1])
         ab = a.tensor(b)
         assert ab.inner(TensorState.product_basis(2, [0, 1])) == pytest.approx(1)
 

@@ -431,9 +431,10 @@ class TestStandardTableaux:
         assert held < 2 * 2**20, held
 
     def test_enumeration_is_sorted_by_row_word(self):
-        tableaux = enumerate_standard_tableaux(YoungDiagram((3, 2)))
-        words = [t.row_word() for t in tableaux]
-        assert words == sorted(words)
+        for n in range(1, 9):
+            for dg in partitions_of(n):
+                words = [t.row_word() for t in enumerate_standard_tableaux(dg)]
+                assert words == sorted(words), dg
 
     @given(partition_strategy(max_n=6))
     def test_count_matches_hook_formula(self, dg):
