@@ -346,6 +346,12 @@ def maximize(ctx: click.Context, partition: str, d: int | None, cut: int | None,
     n = diagram.n_boxes
     d = diagram.n_rows if d is None else d
     cut = n - 1 if cut is None else cut
+    if not 1 <= cut <= n - 1:
+        raise click.UsageError(f"cut must lie in 1..{n - 1}")
+    if d < diagram.n_rows:
+        raise click.UsageError(
+            f"d={d} is below the number of rows {diagram.n_rows}; the block is empty"
+        )
     _load_numerical()  # MaximizeConfig checks the ascent options
     try:
         config = MaximizeConfig(
@@ -353,12 +359,6 @@ def maximize(ctx: click.Context, partition: str, d: int | None, cut: int | None,
         )
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
-    if not 1 <= cut <= n - 1:
-        raise click.UsageError(f"cut must lie in 1..{n - 1}")
-    if d < diagram.n_rows:
-        raise click.UsageError(
-            f"d={d} is below the number of rows {diagram.n_rows}; the block is empty"
-        )
     _check_memory(diagram, d, ascent=config)
     exact, witness = max_schmidt_bound(diagram)
 
@@ -366,14 +366,8 @@ def maximize(ctx: click.Context, partition: str, d: int | None, cut: int | None,
     if cut == n - 1:
         seed_state = optimizer_state(diagram, witness, d=d)
         sr = schmidt_decompose(seed_state, cut)
-        pairs.append((sr.left_vectors[0], sr.right_vectors[0]))
-    report = max_lambda1_over_subspace(
-        block_basis(diagram, d),
-        cut,
-        config,
-        analytic_bound=exact,
-        initial_pairs=pairs,
-    )
+        pairs.append((sr.left[:, 0], sr.right[0]))
+    report = max_lambda1_over_subspace(block_basis(diagram, d), cut, config, initial_pairs=pairs)
     residual = report.fixed_point_residual
     gap = abs(float(exact) - report.best_lambda1_sq)
     best = report.best_restart
@@ -395,6 +389,19 @@ def maximize(ctx: click.Context, partition: str, d: int | None, cut: int | None,
             CheckResult("fixed-point residual", residual, 1e-7, residual <= 1e-7)
         )
     ok = all(r.passed for r in checks)
+    amplitudes = [[float(a.real), float(a.imag)] for a in report.maximizer.amplitudes]
+    report_json = {
+        "best_lambda1_sq": report.best_lambda1_sq,
+        "restarts": report.restarts,
+        "iterations": list(report.iterations),
+        "converged": list(report.converged),
+        "cut": cut,
+        "analytic_bound": str(exact),
+        "seed": seed,
+        "maximizer": {"d": d, "n": n, "amplitudes": amplitudes},
+    }
+    if trace:
+        report_json["objective_traces"] = [list(tr) for tr in report.objective_traces]
     payload = {
         "schema": SCHEMA,
         "command": "maximize",
@@ -411,7 +418,7 @@ def maximize(ctx: click.Context, partition: str, d: int | None, cut: int | None,
         "fixed_point_residual": residual,
         "iterations": list(report.iterations),
         "converged": list(report.converged),
-        "report": report.to_json_dict(include_trace=trace),
+        "report": report_json,
         "checks": [asdict(r) for r in checks],
         "passed": ok,
     }

@@ -7,7 +7,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -20,14 +19,14 @@ class SchmidtResult:
     """Schmidt data across the cut between factors 1..k and k+1..n.
 
     Coefficients are the descending singular values of the d^k x d^(n-k)
-    amplitude matrix; left and right vectors are the paired orthonormal
-    states on the two sides.
+    amplitude matrix.  ``left`` and ``right`` are the SVD's ``u`` and
+    ``vh``: column i of ``left`` (d^k amplitudes) and row i of ``right``
+    (d^(n-k) amplitudes) are the orthonormal pair of coefficient i.
     """
 
-    cut: int
     coefficients: np.ndarray
-    left_vectors: tuple[TensorState, ...]
-    right_vectors: tuple[TensorState, ...]
+    left: np.ndarray
+    right: np.ndarray
 
 
 def schmidt_decompose(psi: TensorState, k: int) -> SchmidtResult:
@@ -36,11 +35,8 @@ def schmidt_decompose(psi: TensorState, k: int) -> SchmidtResult:
     if not 1 <= k <= n - 1:
         raise ValueError(f"cut must be in 1..{n - 1}")
     d = psi.local_dim
-    matrix = psi.amplitudes.reshape(d**k, d ** (n - k))
-    u, s, vh = np.linalg.svd(matrix, full_matrices=False)
-    left = tuple(TensorState(d, k, u[:, i]) for i in range(s.shape[0]))
-    right = tuple(TensorState(d, n - k, vh[i, :]) for i in range(s.shape[0]))
-    return SchmidtResult(k, s, left, right)
+    u, s, vh = np.linalg.svd(psi.amplitudes.reshape(d**k, d ** (n - k)), full_matrices=False)
+    return SchmidtResult(s, u, vh)
 
 
 def reduced_density_matrix(psi: TensorState, keep) -> np.ndarray:
@@ -97,10 +93,11 @@ class MaximizeConfig:
 class MaximizationReport:
     """Outcome of maximizing the leading squared Schmidt coefficient.
 
-    ``best_restart`` indexes the restart whose final objective is
-    ``best_lambda1_sq`` in ``iterations`` and ``converged``.
-    ``fixed_point_residual`` is :func:`verify_fixed_point` of the maximizer
-    at the cut, on the basis the ascent projected onto.
+    ``iterations``, ``converged`` and ``objective_traces`` hold one entry
+    per restart, seeded ones first.  ``best_restart`` indexes the restart
+    whose final objective is ``best_lambda1_sq``, and ``maximizer`` is its
+    state.  ``fixed_point_residual`` is :func:`verify_fixed_point` of the
+    maximizer at the cut, on the basis the ascent projected onto.
     """
 
     best_lambda1_sq: float
@@ -110,25 +107,7 @@ class MaximizationReport:
     best_restart: int
     maximizer: TensorState
     fixed_point_residual: float
-    cut: int
-    analytic_bound: Fraction | None = None
-    seed: int | None = None
     objective_traces: tuple[tuple[float, ...], ...] = field(default=(), repr=False)
-
-    def to_json_dict(self, include_trace: bool = False) -> dict:
-        out = {
-            "best_lambda1_sq": self.best_lambda1_sq,
-            "restarts": self.restarts,
-            "iterations": list(self.iterations),
-            "converged": list(self.converged),
-            "cut": self.cut,
-            "analytic_bound": None if self.analytic_bound is None else str(self.analytic_bound),
-            "seed": self.seed,
-            "maximizer": self.maximizer.to_json_dict(),
-        }
-        if include_trace:
-            out["objective_traces"] = [list(tr) for tr in self.objective_traces]
-        return out
 
 
 def max_lambda1_over_subspace(
@@ -136,8 +115,7 @@ def max_lambda1_over_subspace(
     k: int,
     config: MaximizeConfig | None = None,
     *,
-    analytic_bound: Fraction | None = None,
-    initial_pairs: Sequence[tuple[TensorState, TensorState]] = (),
+    initial_pairs: Sequence[tuple[np.ndarray, np.ndarray]] = (),
 ) -> MaximizationReport:
     """Maximize the leading squared Schmidt coefficient over a subspace.
 
@@ -152,11 +130,12 @@ def max_lambda1_over_subspace(
     objective never decreases; the report keeps the best over all
     restarts.  A restart counts only when its last step produced a state:
     one that ends on a reset from a start orthogonal to the subspace does
-    not.  ``initial_pairs`` prepends deterministic restarts (e.g. a pair
-    taken from a known saturating state) to the random ones.  ``basis`` is
-    the subspace's orthonormal basis as weight blocks, as
-    :func:`block_basis` and :func:`subspace_basis` return it; it carries d
-    and N, and every projection applies its blocks.
+    not.  ``initial_pairs`` prepends deterministic restarts (e.g. the top
+    Schmidt pair of a known saturating state) to the random ones: each is
+    a pair of finite, nonzero amplitude arrays of d^k and d^(n-k) entries,
+    normalized here.  ``basis`` is the subspace's orthonormal basis as
+    weight blocks, as :func:`block_basis` and :func:`subspace_basis` return
+    it; it carries d and N, and every projection applies its blocks.
     """
     config = config or MaximizeConfig()
     if not len(basis):
@@ -171,13 +150,21 @@ def max_lambda1_over_subspace(
         v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         return v / np.linalg.norm(v)
 
-    seeded: list[tuple[np.ndarray, np.ndarray]] = []
-    for a, b in initial_pairs:
-        if a.local_dim != d or b.local_dim != d:
-            raise ValueError(f"initial pair does not live on local dimension {d}")
-        if a.n_factors != k or b.n_factors != n - k:
-            raise ValueError("initial pair does not match the cut")
-        seeded.append((a.normalized().amplitudes, b.normalized().amplitudes))
+    def unit_side(side, dim: int) -> np.ndarray:
+        v = np.array(side, dtype=np.complex128)
+        if v.shape != (dim,):
+            raise ValueError(
+                f"initial pair must hold {dim_a} and {dim_b} amplitudes "
+                f"(local dimension {d}, cut {k})"
+            )
+        if not np.isfinite(v).all():
+            raise ValueError("initial pair amplitudes must be finite")
+        nrm = np.linalg.norm(v)
+        if nrm == 0:
+            raise ValueError("initial pair has a zero vector")
+        return v / nrm
+
+    seeded = [(unit_side(a, dim_a), unit_side(b, dim_b)) for a, b in initial_pairs]
     if not seeded and not config.restarts:
         raise ValueError("need at least one restart or initial pair")
     # lazy: no list as long as the restart count is ever made
@@ -241,9 +228,6 @@ def max_lambda1_over_subspace(
         best_restart=best_restart,
         maximizer=maximizer,
         fixed_point_residual=verify_fixed_point(maximizer, basis, k),
-        cut=k,
-        analytic_bound=analytic_bound,
-        seed=config.seed,
         objective_traces=tuple(traces),
     )
 
@@ -267,7 +251,7 @@ def verify_fixed_point(psi: TensorState, basis: WeightBlocks, k: int) -> float:
     if np.linalg.norm(inside - vec) > 1e-6:
         raise ValueError("state lies outside the span of the basis")
     top = schmidt_decompose(psi, k)
-    pair = np.multiply.outer(top.left_vectors[0].amplitudes, top.right_vectors[0].amplitudes)
+    pair = np.multiply.outer(top.left[:, 0], top.right[0])
     proj = basis(pair.reshape(-1))
     nrm = np.linalg.norm(proj)
     if nrm == 0:

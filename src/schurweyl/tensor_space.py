@@ -120,13 +120,6 @@ class TensorState:
 
     __rmul__ = __mul__
 
-    def to_json_dict(self) -> dict:
-        return {
-            "d": self.local_dim,
-            "n": self.n_factors,
-            "amplitudes": [[float(a.real), float(a.imag)] for a in self.amplitudes],
-        }
-
     def __repr__(self) -> str:
         return f"TensorState(d={self.local_dim}, n={self.n_factors}, norm={self.norm():.6g})"
 

@@ -180,8 +180,9 @@ def test_criterion_6_schmidt_confinement():
                 down = orthogonal_projector(remove_largest(t), d)
                 for col in subspace_basis(t, d).scatter().T:
                     sr = schmidt_decompose(TensorState(d, n, col), n - 1)
-                    for lam, phi in zip(sr.coefficients, sr.left_vectors):
+                    for lam, left in zip(sr.coefficients, sr.left.T):
                         if lam > 1e-8:
+                            phi = TensorState(d, n - 1, left)
                             worst = max(worst, (down(phi) - phi).norm())
     assert worst <= 1e-8
     print(f"ACCEPTANCE 6: PASS - left Schmidt vectors confined to the reduced "

@@ -520,6 +520,21 @@ class TestMaximize:
         assert result.exit_code == 1
         assert "[FAIL] ascent converged" in result.output
 
+    def test_maximizer_json_is_the_best_state(self, runner):
+        result = runner.invoke(
+            main, ["maximize", "--partition", "2,2", "--d", "2", "--format", "json"]
+        )
+        assert result.exit_code == 0, result.output
+        payload = json.loads(result.output)
+        maximizer = payload["report"]["maximizer"]
+        d, n = maximizer["d"], maximizer["n"]
+        assert (d, n) == (2, 4)
+        amplitudes = np.array([complex(re, im) for re, im in maximizer["amplitudes"]])
+        assert amplitudes.shape == (d**n,)
+        assert abs(np.linalg.norm(amplitudes) - 1) < 1e-12
+        top = np.linalg.svd(amplitudes.reshape(d ** payload["cut"], -1), compute_uv=False)[0]
+        assert abs(top**2 - payload["best_lambda1_sq"]) < 1e-10
+
     def test_trace_holds_each_restart_objective(self, runner):
         args = ["maximize", "--partition", "2,1", "--d", "2", "--format", "json"]
         result = runner.invoke(main, [*args, "--trace"])
@@ -843,8 +858,11 @@ def loaded_modules(args):
     # verify's usage errors, of an option and of memory, come before numpy
     (["verify", "--partition", "2,1", "--samples", "0"], 2),
     (["verify", "--partition", "8,8,8,8,8", "--d", "8"], 2),
+    # and so do maximize's checks of the cut and of d
+    (["maximize", "--partition", "2,1", "--cut", "5"], 2),
+    (["maximize", "--partition", "2,1", "--d", "1"], 2),
 ], ids=["import", "help", "bound", "sweep", "tableaux", "verify-samples-0",
-        "verify-over-memory"])
+        "verify-over-memory", "maximize-cut-5", "maximize-d-1"])
 def test_exact_commands_never_load_numpy(args, code):
     returncode, modules = loaded_modules(args)
     assert returncode == code

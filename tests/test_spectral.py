@@ -123,11 +123,15 @@ class TestSchmidt:
         for k in (1, 2, 3):
             sr = schmidt_decompose(psi, k)
             assert (sr.coefficients**2).sum() == pytest.approx(1.0, abs=1e-10)
-            rebuilt = None
-            for lam, left, right in zip(sr.coefficients, sr.left_vectors, sr.right_vectors):
-                term = lam * left.tensor(right)
-                rebuilt = term if rebuilt is None else rebuilt + term
-            assert (rebuilt - psi).norm() < 1e-9
+            rank = sr.coefficients.shape[0]
+            assert sr.left.shape == (2**k, rank) and sr.right.shape == (rank, 2 ** (4 - k))
+            np.testing.assert_allclose(sr.left.conj().T @ sr.left, np.eye(rank), atol=1e-12)
+            np.testing.assert_allclose(sr.right @ sr.right.conj().T, np.eye(rank), atol=1e-12)
+            rebuilt = sum(
+                lam * np.kron(left, right)
+                for lam, left, right in zip(sr.coefficients, sr.left.T, sr.right)
+            )
+            assert np.linalg.norm(rebuilt - psi.amplitudes) < 1e-9
 
     def test_squared_coefficients_are_rdm_eigenvalues(self):
         psi = random_state(2, 4, RNG)
@@ -199,10 +203,9 @@ class TestMaximization:
             d = dg.n_rows
             basis = block_basis(dg, d)
             report = max_lambda1_over_subspace(
-                basis, dg.n_boxes - 1, MaximizeConfig(restarts=6, seed=0),
-                analytic_bound=max_schmidt_bound(dg)[0],
+                basis, dg.n_boxes - 1, MaximizeConfig(restarts=6, seed=0)
             )
-            assert report.best_lambda1_sq <= float(report.analytic_bound) + 1e-7
+            assert report.best_lambda1_sq <= float(max_schmidt_bound(dg)[0]) + 1e-7
 
     def test_seeded_pair_takes_over(self):
         dg = YoungDiagram((2, 2))
@@ -211,7 +214,7 @@ class TestMaximization:
         sr = schmidt_decompose(state, 3)
         report = max_lambda1_over_subspace(
             basis, 3, MaximizeConfig(restarts=1, seed=0),
-            initial_pairs=[(sr.left_vectors[0], sr.right_vectors[0])],
+            initial_pairs=[(sr.left[:, 0], sr.right[0])],
         )
         assert report.restarts == 2
         assert report.best_lambda1_sq == pytest.approx(0.5, abs=1e-9)
@@ -228,21 +231,30 @@ class TestMaximization:
             max_lambda1_over_subspace(singlet_basis(), 2)
 
     def test_rejects_pair_on_another_local_dimension(self):
-        # the right factor has d = 3, the basis d = 2
-        pair = (TensorState(2, 1, [1, 0]), TensorState(3, 1, [0, 1, 0]))
+        # the right factor has d = 3 amplitudes, the basis d = 2
+        pair = (np.array([1, 0]), np.array([0, 1, 0]))
         with pytest.raises(ValueError, match="local dimension 2"):
             max_lambda1_over_subspace(singlet_basis(), 1, initial_pairs=[pair])
 
-    def test_report_serialization(self):
+    @pytest.mark.parametrize("right, message", [
+        (np.array([1, 0, 0, 0]), "hold 2 and 2 amplitudes"),
+        (np.zeros(2), "zero vector"),
+        (np.array([1, np.nan]), "finite"),
+    ], ids=["wrong-length", "zero", "nan"])
+    def test_rejects_malformed_pair(self, right, message):
+        pair = (np.array([1, 0]), right)
+        with pytest.raises(ValueError, match=message):
+            max_lambda1_over_subspace(singlet_basis(), 1, initial_pairs=[pair])
+
+    def test_report_keeps_one_record_per_restart(self):
         report = max_lambda1_over_subspace(singlet_basis(), 1, MaximizeConfig(restarts=2, seed=0))
-        blob = report.to_json_dict()
-        assert "objective_traces" not in blob
-        blob = report.to_json_dict(include_trace=True)
-        assert len(blob["objective_traces"]) == 2
+        assert report.restarts == 2
+        assert len(report.iterations) == len(report.converged) == len(report.objective_traces) == 2
+        assert report.best_lambda1_sq == report.objective_traces[report.best_restart][-1]
 
     def test_orthogonal_start_ending_on_reset_raises(self):
         # e0 x e0 has no singlet component: the only step resets the pair
-        e0 = TensorState(2, 1, [1, 0])
+        e0 = np.array([1, 0])
         with pytest.raises(RuntimeError, match="no restart produced a state"):
             max_lambda1_over_subspace(
                 singlet_basis(), 1, MaximizeConfig(restarts=0, max_iterations=1),
@@ -250,7 +262,7 @@ class TestMaximization:
             )
 
     def test_random_restarts_follow_orthogonal_start(self):
-        e0 = TensorState(2, 1, [1, 0])
+        e0 = np.array([1, 0])
         report = max_lambda1_over_subspace(
             singlet_basis(), 1, MaximizeConfig(restarts=2, max_iterations=1, seed=0),
             initial_pairs=[(e0, e0)],

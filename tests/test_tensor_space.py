@@ -1,5 +1,4 @@
 import itertools
-import json
 import math
 from collections import Counter
 from fractions import Fraction
@@ -78,13 +77,6 @@ class TestTensorState:
         b = TensorState(2, 1, [0, 1])
         ab = a.tensor(b)
         assert ab.inner(TensorState.product_basis(2, [0, 1])) == pytest.approx(1)
-
-    def test_json_round_trip(self):
-        psi = random_state(2, 3, RNG)
-        obj = json.loads(json.dumps(psi.to_json_dict()))
-        back = TensorState(obj["d"], obj["n"], [complex(re, im) for re, im in obj["amplitudes"]])
-        assert back.local_dim == 2 and back.n_factors == 3
-        np.testing.assert_allclose(back.amplitudes, psi.amplitudes)
 
 
 def batch_of(states):

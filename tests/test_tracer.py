@@ -2,6 +2,8 @@
 the same output and exit code, and records the block basis and fixed-point
 layers it wraps."""
 
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -43,3 +45,34 @@ def test_traced_run_matches_plain_run(tmp_path, args, layers):
     # f * dim V = 2 * 2 vectors of the (2,1) block at d = 2
     counts = [c for layer, _, _, _, c in spans if layer == "tensor_space.block_basis"]
     assert counts == [{"vectors": 4}]
+
+
+def test_ascent_span_counts_match_the_report(tmp_path):
+    # the tracer reads restarts, iterations and converged off the report
+    args = ["maximize", "--partition", "2,1", "--d", "2", "--restarts", "3", "--format", "json"]
+    traced = run_cli(args, tmp_path / "spans.json")
+    assert traced.returncode == 0, traced.stderr.decode()
+    payload = json.loads(traced.stdout)
+    spans = json.loads((tmp_path / "spans.json").read_text())["spans"]
+    counts = [c for layer, _, _, _, c in spans if layer == "spectral.ascent"]
+    assert counts == [{
+        "iterations": sum(payload["iterations"]),
+        "converged": sum(payload["converged"]),
+        "restarts": payload["restarts"],
+    }]
+
+
+def test_every_traced_name_resolves_in_its_home_module():
+    # a traced name the package no longer has is skipped, and its layer
+    # silently reads 0; aligned_sector_bases is the one known such name
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [
+        f"{home}.{name}"
+        for home, names in tracer.BOUNDARIES.items()
+        for name in names
+        if name != "aligned_sector_bases"
+        and not callable(getattr(importlib.import_module(f"schurweyl.{home}"), name, None))
+    ]
+    assert missing == []
