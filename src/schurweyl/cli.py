@@ -87,19 +87,19 @@ def _memory_need(
     diagram: YoungDiagram, d: int, samples: int | None = None,
     ascent: MaximizeConfig | None = None,
 ) -> int:
-    """Bytes the run holds at its peak, in exact integers.  A
-    vector is ``16 * d**N`` bytes; a weight of K semistandard fillings is a
-    block of h rows (its multinomial coefficient) and w = f * K columns; a
-    row map takes 8 bytes per block row.  Beside the blocks a run holds 16
-    vectors (the ascent, or verify's block resolution and saturating states)
-    or more: maximize's N-1 row maps and Gram check in 256-row chunks, or
-    verify's row maps and cross-check (a permuted stack, three ``(w, w)``
-    arrays per block).  verify may peak in its sample checks: 13 vectors a
-    sample, x, P_t x, U x, V and a call on the last three with two buffers.
-    Beside its arrays, the ascent of ``ascent`` keeps a record of each
-    restart, the seeded one included: 128 bytes of counts and up to
-    max_iterations objective values of 40 bytes (a float and its places in
-    the report and the JSON)."""
+    """Bytes the run holds at its peak, in exact integers.  A vector is
+    ``16 * d**N`` bytes; a weight of K semistandard fillings is a block of h
+    rows (its multinomial coefficient) and w = f * K columns; a row map takes
+    8 bytes per block row.  Beside the blocks a run holds 16 vectors (the
+    ascent, or verify's saturating states) or more: maximize's N-1 row maps
+    and Gram check in 256-row chunks, or verify's row maps of one call beside
+    its cross-check (a permuted stack, three ``(w, w)`` arrays per block) or
+    the samples x and V kept for its block resolution.  verify may peak in its
+    sample checks: 13 vectors a sample, x, P_t x, U x, V and a call on the
+    last three with two buffers.  Beside its arrays, the ascent of ``ascent``
+    keeps a record of each restart, the seeded one included: 128 bytes of
+    counts and up to max_iterations objective values of 40 bytes (a float and
+    its places in the report and the JSON)."""
     n = diagram.n_boxes
     f = dim_symmetric_group_irrep(diagram)
     vector = 16 * d**n
@@ -119,10 +119,10 @@ def _memory_need(
         if ascent is not None:
             records = (ascent.restarts + 1) * (128 + 40 * ascent.max_iterations)
         return blocks + max(8 * rows * (n - 1) + gram, 16 * vector + records)
-    maps = 8 * rows * (n + 1 + (n - 1) * (n - 2) // 2)
+    maps = 8 * rows * max(1, (n - 1) * (n - 2) // 2)
     cross = max((16 * k * w * (h + 3 * w) for (h, w), k in shapes.items()), default=0)
-    sample_checks = 13 * samples * vector
-    return max(sample_checks, blocks + maps + max(cross, 16 * vector))
+    vectors = max(16, 2 * samples) * vector
+    return max(13 * samples * vector, blocks + maps + max(cross, vectors))
 
 
 def _check_memory(

@@ -12,7 +12,7 @@ materialized.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -423,7 +423,6 @@ class WeightBlocks:
     n: int
     gather: np.ndarray
     stacks: list[tuple[slice, np.ndarray, np.ndarray]]
-    _maps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # Gram matrices summed over 256-row chunks: no copy of a whole block.
@@ -460,22 +459,22 @@ class WeightBlocks:
     def row_map(self, sigma: Permutation) -> list[np.ndarray]:
         """Per stack, the row of its ``(count * h)`` stacked rows that each
         row of ``sigma v`` reads in ``v``: a permutation keeps weights.  A
-        sigma of m < n points acts on the first m factors.  Cached."""
-        if sigma not in self._maps:
-            full = Permutation(sigma.images + tuple(range(sigma.size + 1, self.n + 1)))
-            where = np.empty(self.d**self.n, dtype=np.int64)  # each row's position in gather
-            where[self.gather] = np.arange(self.gather.size)
-            local = permute_matrix_columns(full, where, self.d, self.n)[self.gather]
-            self._maps[sigma] = [local[part] - part.start for part, _, _ in self.stacks]
-        return self._maps[sigma]
+        sigma of m < n points acts on the first m factors."""
+        full = Permutation(sigma.images + tuple(range(sigma.size + 1, self.n + 1)))
+        where = np.empty(self.d**self.n, dtype=np.int64)  # each row's position in gather
+        where[self.gather] = np.arange(self.gather.size)
+        local = permute_matrix_columns(full, where, self.d, self.n)[self.gather]
+        return [local[part] - part.start for part, _, _ in self.stacks]
 
     def apply(self, op: OperatorExpr, arrays: Sequence[np.ndarray]) -> list[np.ndarray]:
         """``op`` on m <= n factors, tensored with the identity on the rest, on
         one ``(count, h, k)`` array per stack, rows as in its blocks: per
-        amplitude the dense stages' arithmetic, each term one row gather."""
+        amplitude the dense stages' arithmetic, each term one row gather.
+        The row maps of op's permutations live for this call only."""
+        maps = {sigma: self.row_map(sigma) for _, _, terms in op.stages for _, sigma in terms}
         out = []
         for i, arr in enumerate(arrays):
-            rows = op._run(arr.reshape(-1, arr.shape[2]), lambda src, s: src[self.row_map(s)[i]])
+            rows = op._run(arr.reshape(-1, arr.shape[2]), lambda src, s: src[maps[s][i]])
             out.append(rows.reshape(arr.shape))
         return out
 

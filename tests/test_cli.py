@@ -21,7 +21,13 @@ except ImportError:  # numpy 1.x
 from schurweyl.cli import _emit_json, main
 from schurweyl.orthogonal_form import permutation_matrix
 from schurweyl.spectral import MaximizeConfig, max_lambda1_over_subspace
-from schurweyl.tensor_space import OperatorExpr, TensorState, WeightBlocks, block_basis
+from schurweyl.tensor_space import (
+    OperatorExpr,
+    TensorState,
+    WeightBlocks,
+    block_basis,
+    orthogonal_projector,
+)
 from schurweyl.verification import CheckResult, run_verification
 from schurweyl.young import (
     YoungDiagram,
@@ -227,14 +233,21 @@ class TestVerify:
          "local-unitary covariance", ()),
         (lambda op, neighbour: Plus(op, neighbour), "pairwise orthogonality",
          ("projector idempotence", "projector hermiticity")),
-    ], ids=["neighbour", "twice", "phased", "overlapping"])
+        (lambda op, neighbour: orthogonal_projector(
+            enumerate_standard_tableaux(YoungDiagram((3, 1, 1)))[0], op.local_dim),
+         "block resolution on sectors",
+         ("projector idempotence", "projector hermiticity", "pairwise orthogonality",
+          "local-unitary covariance")),
+    ], ids=["neighbour", "twice", "phased", "overlapping", "foreign"])
     def test_sample_check_sees_faulty_projector(
         self, runner, monkeypatch, fault, name, intact
     ):
         # the second tableau of (2,2,1) gets a faulty projector: the first
-        # tableau's, twice its own, its own followed by a diagonal phase, or
-        # its own plus the first's.  That sum is still a hermitian
-        # idempotent, but its range overlaps the first sector's
+        # tableau's, twice its own, its own followed by a diagonal phase, its
+        # own plus the first's, or a (3,1,1) tableau's.  That sum is still a
+        # hermitian idempotent, but its range overlaps the first sector's;
+        # the foreign projector is orthogonal to every sector, but the sum of
+        # the projections is then not the projection onto the block
         import schurweyl.verification as verification
 
         first, second = enumerate_standard_tableaux(YoungDiagram((2, 2, 1)))[:2]
@@ -249,10 +262,10 @@ class TestVerify:
             assert verify_check(runner, "2,2,1", 3, other)["passed"] is True
 
     def test_projector_calls_within_budget(self, monkeypatch):
-        # two dense calls per tableau for the sample checks, one per tableau
-        # for the block resolution, two per corner for the saturating
-        # states, and three more: the two closed forms and the coherent
-        # state.  The seed and the Schmidt confinement act on weight blocks
+        # two dense calls per tableau for the sample checks, two per corner
+        # for the saturating states, and three more: the two closed forms
+        # and the coherent state.  The seed, the block resolution and the
+        # Schmidt confinement act on weight blocks
         calls = []
         apply_raw = OperatorExpr._apply_raw
 
@@ -264,14 +277,14 @@ class TestVerify:
         diagram = YoungDiagram((3, 2, 2))
         run_verification(diagram, 3, samples=2)
         f = len(enumerate_standard_tableaux(diagram))
-        assert len(calls) <= 3 * f + 2 * len(removable_boxes(diagram)) + 3
+        assert len(calls) <= 2 * f + 2 * len(removable_boxes(diagram)) + 3
 
     def test_sample_calls_stay_narrow(self, monkeypatch):
         # columns of the dense calls, linear in f: per tableau the 2
         # samples, then 3 * 2 for [P_t x | U x | V] with V the running sum
-        # of the visited sectors, and the block resolution's 3 combinations;
-        # one state in each of the two calls per corner; the 2 samples in
-        # each of the two closed forms, and the coherent state
+        # of the visited sectors; one state in each of the two calls per
+        # corner; the 2 samples in each of the two closed forms, and the
+        # coherent state
         columns = []
         apply_raw = OperatorExpr._apply_raw
 
@@ -284,7 +297,7 @@ class TestVerify:
         run_verification(diagram, 3, samples=2)
         f = len(enumerate_standard_tableaux(diagram))
         corners = len(removable_boxes(diagram))
-        assert sum(columns) <= (2 + 3 * 2 + 3) * f + 2 * corners + 2 * 2 + 1
+        assert sum(columns) <= (2 + 3 * 2) * f + 2 * corners + 2 * 2 + 1
 
     def test_rejects_samples_below_one(self):
         with pytest.raises(ValueError, match="samples"):
@@ -725,8 +738,8 @@ class TestMemoryEstimate:
         (["maximize", "--partition", "2,1", "--d", "2"],
          16 * 3 * 2 * 2 + 16 * 16 * 8 + 33 * (128 + 40 * 500)),
         # verify: its sample checks, 13 vectors for each of the 5 samples,
-        # outweigh the blocks, 5 row maps and 16 vectors,
-        # 16 * 3 * 2 * 2 + 8 * 6 * 5 + 16 * 16 * 8
+        # outweigh the blocks, one row map and 16 vectors,
+        # 16 * 3 * 2 * 2 + 8 * 6 + 16 * 16 * 8
         (["verify", "--partition", "2,1", "--d", "2"], 16 * 8 * 13 * 5),
         # its dense block would be 14.1 GB; its weight blocks hold
         # f * 120960 amplitudes, f = 168, beside the ascent's 16 vectors
@@ -750,32 +763,36 @@ class TestMemoryEstimate:
         result = runner.invoke(main, ["verify", "--partition", "2,1", "--d", "2"])
         assert result.exit_code == 0, result.output
 
-    @pytest.mark.parametrize("command, partition, d", [
-        ("maximize", "3,2,1", 4),
-        ("verify", "3,2,1", 4),
-        ("verify", "2,2,2,1", 4),
-        ("verify", "2,2,1", 5),
-        ("maximize", "4,2,1", 4),
-        ("maximize", "4,3,2", 3),
-    ], ids=["maximize", "verify", "verify-2221-d4", "verify-221-d5",
-            "maximize-421-d4", "maximize-432-d3"])
-    def test_estimate_tracks_traced_peak(self, runner, monkeypatch, command, partition, d):
+    @pytest.mark.parametrize("command, partition, d, samples", [
+        ("maximize", "3,2,1", 4, None),
+        ("verify", "3,2,1", 4, 2),
+        ("verify", "3,2,1", 4, 5),
+        ("verify", "2,2,2,1", 4, 2),
+        ("verify", "2,2,1", 5, 2),
+        ("maximize", "4,2,1", 4, None),
+        ("maximize", "4,3,2", 3, None),
+    ], ids=["maximize", "verify", "verify-samples-5", "verify-2221-d4",
+            "verify-221-d5", "maximize-421-d4", "maximize-432-d3"])
+    def test_estimate_tracks_traced_peak(
+        self, runner, monkeypatch, command, partition, d, samples
+    ):
         # the estimate against the memory the run takes, as tracemalloc
         # sees numpy's allocations.  maximize peaks with its weight blocks
         # and the ascent's vectors, or at (4,3,2), d = 3 (f = 168, dim V =
         # 8) with the Gram check of the widest block.  verify peaks in its
-        # block checks at (3,2,1), d = 4, and in its sample checks, 13
-        # vectors per sample, in the other two cases
+        # block checks at (3,2,1), d = 4, with 2 or 5 samples kept into
+        # them, and in its sample checks, 13 vectors per sample, in the
+        # other two cases
         import schurweyl.cli as cli
 
         diagram = YoungDiagram.from_string(partition)
         if command == "verify":
-            need = cli._memory_need(diagram, d, 2)
+            need = cli._memory_need(diagram, d, samples)
         else:  # one random restart, as traced below
             need = cli._memory_need(diagram, d, ascent=MaximizeConfig(restarts=1))
         monkeypatch.setattr(cli, "_physical_memory", lambda: need - 1)
         args = [command, "--partition", partition, "--d", str(d)]
-        args += ["--samples", "2"] if command == "verify" else ["--restarts", "1"]
+        args += ["--samples", str(samples)] if command == "verify" else ["--restarts", "1"]
         result = runner.invoke(main, args)
         assert result.exit_code == 2, result.output
         assert f"about {need} bytes" in result.output
@@ -792,7 +809,7 @@ class TestMemoryEstimate:
                     MaximizeConfig(restarts=1, seed=0),
                 )
             else:
-                run_verification(diagram, d, samples=2)
+                run_verification(diagram, d, samples=samples)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -694,6 +695,22 @@ class TestWeightLocalStages:
         dg = YoungDiagram((3, 2, 1))
         t = enumerate_standard_tableaux(dg)[4]
         self.assert_matches_dense(block_basis(dg, 3), orthogonal_projector(remove_largest(t), 3))
+
+    def test_apply_keeps_no_row_map(self):
+        # the row maps of a call are dropped with it: once its result is,
+        # the basis holds less than one map, 8 bytes per gathered row
+        dg = YoungDiagram((3, 2, 1))
+        project = block_basis(dg, 3)
+        op = orthogonal_projector(remove_largest(enumerate_standard_tableaux(dg)[4]), 3)
+        arrays = [blocks for _, blocks, _ in project.stacks]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            project.apply(op, arrays)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 8 * len(project.gather), held
 
 
 class TestAlignedBases:
