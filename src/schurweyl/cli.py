@@ -88,18 +88,24 @@ def _memory_need(
     ascent: MaximizeConfig | None = None,
 ) -> int:
     """Bytes the run holds at its peak, in exact integers.  A vector is
-    ``16 * d**N`` bytes; a weight of K semistandard fillings is a block of h
-    rows (its multinomial coefficient) and w = f * K columns; a row map takes
-    8 bytes per block row.  Beside the blocks a run holds 16 vectors (the
-    ascent, or verify's saturating states) or more: maximize's N-1 row maps
-    and Gram check in 256-row chunks, or verify's row maps of one call beside
-    its cross-check (a permuted stack, three ``(w, w)`` arrays per block) or
-    the samples x and V kept for its block resolution.  verify may peak in its
-    sample checks: 13 vectors a sample, x, P_t x, U x, V and a call on the
-    last three with two buffers.  Beside its arrays, the ascent of ``ascent``
-    keeps a record of each restart, the seeded one included: 128 bytes of
-    counts and up to max_iterations objective values of 40 bytes (a float and
-    its places in the report and the JSON)."""
+    ``16 * d**N`` bytes; a weight of K semistandard fillings is a real block
+    of h rows (its multinomial coefficient) and w = f * K columns, 8 bytes a
+    cell; a row map takes 8 bytes per block row.  Beside the blocks,
+    maximize holds its N-1 row maps and a Gram check of two ``(w, w)``
+    arrays, or its ascent: 10 vectors for the fixed-point check, or one
+    vector beside the batch if that is more.  The batch holds as many
+    restarts as ``spectral`` fits in its fixed budget, each at most
+    ``16 * max(3 * rows, rows + d**N)`` bytes over the gathered rows: its
+    two gathered factors and their product, or its projection and dense
+    state.  verify holds its row maps of one call beside its cross-check (a
+    permuted stack, four ``(w, w)`` arrays per block) or 16 vectors (its
+    saturating states) or the samples x and V kept for its block
+    resolution.  verify may peak in its sample checks: 13 vectors a sample,
+    x, P_t x, U x, V and a call on the last three with two buffers.  Beside
+    its arrays, the ascent of ``ascent`` keeps a record of each restart, the
+    seeded one included: 128 bytes of counts and up to max_iterations
+    objective values of 40 bytes (a float and its places in the report and
+    the JSON)."""
     n = diagram.n_boxes
     f = dim_symmetric_group_irrep(diagram)
     vector = 16 * d**n
@@ -111,16 +117,21 @@ def _memory_need(
         (math.factorial(n) // math.prod(map(math.factorial, Counter(weight).values())), f * k)
         for weight, k in kostka.items()
     )
-    blocks = sum(16 * h * w * k for (h, w), k in shapes.items())
+    blocks = sum(8 * h * w * k for (h, w), k in shapes.items())
     rows = sum(h * k for (h, _), k in shapes.items())
     if samples is None:
-        gram = max((16 * w * (2 * w + min(h, 256)) for h, w in shapes), default=0)
-        records = 0
+        gram = max((16 * w * w for _, w in shapes), default=0)
+        ascent_bytes = 10 * vector
         if ascent is not None:
-            records = (ascent.restarts + 1) * (128 + 40 * ascent.max_iterations)
-        return blocks + max(8 * rows * (n - 1) + gram, 16 * vector + records)
+            from .spectral import _batch_width
+
+            starts = ascent.restarts + 1
+            column = 16 * max(3 * rows, rows + d**n)
+            ascent_bytes = max(ascent_bytes, vector + _batch_width(starts, d, n) * column)
+            ascent_bytes += starts * (128 + 40 * ascent.max_iterations)
+        return blocks + max(8 * rows * (n - 1) + gram, ascent_bytes)
     maps = 8 * rows * max(1, (n - 1) * (n - 2) // 2)
-    cross = max((16 * k * w * (h + 3 * w) for (h, w), k in shapes.items()), default=0)
+    cross = max((8 * k * w * (h + 4 * w) for (h, w), k in shapes.items()), default=0)
     vectors = max(16, 2 * samples) * vector
     return max(13 * samples * vector, blocks + maps + max(cross, vectors))
 

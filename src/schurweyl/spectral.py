@@ -110,6 +110,26 @@ class MaximizationReport:
     objective_traces: tuple[tuple[float, ...], ...] = field(default=(), repr=False)
 
 
+# Bytes of the ascent's batch arrays.  A restart in the window holds at most
+# three complex vectors of d**N amplitudes at the peak of an iteration: its
+# two gathered factors and their product, or its projection and the dense
+# state of the power step.
+BATCH_BYTES = 2**20
+
+
+def _row_norms(mat: np.ndarray) -> np.ndarray:
+    """Norm of each row of a C-ordered complex matrix, read through its
+    real (re, im) view."""
+    pairs = mat.view(np.float64)
+    return np.sqrt(np.einsum("ij,ij->i", pairs, pairs))
+
+
+def _batch_width(starts: int, d: int, n: int) -> int:
+    """Restarts the ascent advances side by side: as many of ``starts`` as
+    fit their batch arrays in ``BATCH_BYTES``, at least one."""
+    return max(1, min(starts, BATCH_BYTES // (3 * 16 * d**n)))
+
+
 def max_lambda1_over_subspace(
     basis: WeightBlocks,
     k: int,
@@ -128,14 +148,26 @@ def max_lambda1_over_subspace(
     ``|<alpha x beta|psi>|`` over one side, and the squared projection norm
     of a unit product state is at least that overlap squared, so the
     objective never decreases; the report keeps the best over all
-    restarts.  A restart counts only when its last step produced a state:
-    one that ends on a reset from a start orthogonal to the subspace does
-    not.  ``initial_pairs`` prepends deterministic restarts (e.g. the top
-    Schmidt pair of a known saturating state) to the random ones: each is
-    a pair of finite, nonzero amplitude arrays of d^k and d^(n-k) entries,
-    normalized here.  ``basis`` is the subspace's orthonormal basis as
-    weight blocks, as :func:`block_basis` and :func:`subspace_basis` return
-    it; it carries d and N, and every projection applies its blocks.
+    restarts, the first of equal ones.  A restart counts only when its last
+    step produced a state: one that ends on a reset from a start orthogonal
+    to the subspace does not.  ``initial_pairs`` prepends deterministic
+    restarts (e.g. the top Schmidt pair of a known saturating state) to the
+    random ones: each is a pair of finite, nonzero amplitude arrays of d^k
+    and d^(n-k) entries, normalized here.  ``basis`` is the subspace's
+    orthonormal basis as weight blocks, as :func:`block_basis` and
+    :func:`subspace_basis` return it; it carries d and N, and every
+    projection applies its real blocks to the gathered rows of the product
+    states (:meth:`WeightBlocks.project_rows`).
+
+    The restarts advance side by side as the columns of one batch, a window
+    as wide as fits in ``BATCH_BYTES`` (at least one restart), so a large
+    space takes one at a time.  A restart that stops hands its column to
+    the next start, in restart order, and each restart keeps its own
+    iteration count, stopping rule, monotonicity check and trace.  Each
+    random start is drawn when it enters the window, alpha then beta, so the
+    draws are those of one restart after another until a start orthogonal
+    to the subspace is reset: its new pair is drawn in that iteration, in
+    column order, between the draws of the starts around it.
     """
     config = config or MaximizeConfig()
     if not len(basis):
@@ -168,67 +200,91 @@ def max_lambda1_over_subspace(
     if not seeded and not config.restarts:
         raise ValueError("need at least one restart or initial pair")
     # lazy: no list as long as the restart count is ever made
-    starts = itertools.chain(seeded, itertools.repeat(None, config.restarts))
+    starts = enumerate(itertools.chain(seeded, itertools.repeat(None, config.restarts)))
 
-    iterations = []
-    converged = []
-    traces = []
+    def pair(start) -> tuple[np.ndarray, np.ndarray]:
+        return start if start is not None else (random_side(dim_a), random_side(dim_b))
+
+    # Column c of the window advances restart index[c] from the product of
+    # alpha[c] and beta[c]; prev is NaN before a first objective and after a
+    # reset, so neither the monotonicity nor the stopping test sees it.
+    window = list(itertools.islice(starts, _batch_width(len(seeded) + config.restarts, d, n)))
+    index = [i for i, _ in window]
+    alpha, beta = (np.array(side) for side in zip(*(pair(s) for _, s in window)))
+    prev = np.full(len(index), np.nan)
+    steps = np.zeros(len(index), dtype=np.int64)
+    traces: list[list[float]] = [[] for _ in index]
+    left, right = np.divmod(basis.gather, dim_b)  # each gathered row's alpha and beta index
+
+    records: dict[int, tuple[int, bool, tuple[float, ...]]] = {}
     best_obj = -1.0
     best_restart = -1
     best_psi: np.ndarray | None = None
-    for index, start in enumerate(starts):
-        alpha, beta = start if start is not None else (random_side(dim_a), random_side(dim_b))
-        prev = None
-        psi = None
-        trace: list[float] = []
-        done = False
-        it = 0
-        for it in range(1, config.max_iterations + 1):
-            prod = np.multiply.outer(alpha, beta).reshape(-1)
-            proj = basis(prod)
-            obj = float(np.real(np.vdot(proj, proj)))
-            if prev is not None and obj < prev - 1e-12:
-                raise RuntimeError(
-                    f"ascent objective decreased from {prev} to {obj}"
-                )
-            trace.append(obj)
-            if obj < 1e-24:
-                # product state (numerically) orthogonal to the subspace
-                alpha, beta = random_side(dim_a), random_side(dim_b)
-                prev = None
-                psi = None
-                continue
-            psi = proj / math.sqrt(obj)
-            if prev is not None and obj - prev < config.tol:
-                done = True
-                break
-            prev = obj
-            # Each half-step maximizes |<alpha x beta|psi>| over one side, so obj cannot
-            # fall; alpha^H Psi conj(beta) = sqrt(obj) > 0 keeps both norms nonzero.
-            mat = psi.reshape(dim_a, dim_b)
-            alpha = mat @ beta.conj()
-            alpha /= np.linalg.norm(alpha)
-            beta = mat.T @ alpha.conj()
-            beta /= np.linalg.norm(beta)
-        iterations.append(it)
-        converged.append(done)
-        traces.append(tuple(trace))
-        if psi is not None and trace[-1] > best_obj:
-            best_obj = trace[-1]
-            best_restart = index
-            best_psi = psi
+    while index:
+        proj = basis.project_rows(alpha.T[left] * beta.T[right])
+        pairs = proj.view(np.float64)
+        obj = np.einsum("ij,ij->j", pairs, pairs).reshape(-1, 2).sum(axis=1)
+        fell = np.flatnonzero(obj < prev - 1e-12)
+        if fell.size:
+            c = fell[0]
+            raise RuntimeError(f"ascent objective decreased from {prev[c]} to {obj[c]}")
+        steps += 1
+        for trace, value in zip(traces, obj.tolist()):
+            trace.append(value)
+        reset = obj < 1e-24  # product state (numerically) orthogonal to the subspace
+        done = ~reset & (obj - prev < config.tol)
+        stop = done | (steps >= config.max_iterations)
+        # psi on the gathered rows; a reset column has none and stays 0
+        proj *= np.divide(1.0, np.sqrt(obj), out=np.zeros_like(obj), where=~reset)
+        prev = np.where(reset, np.nan, obj)
+        # Each half-step maximizes |<alpha x beta|psi>| over one side, so obj cannot
+        # fall; alpha^H Psi conj(beta) = sqrt(obj) > 0 keeps both norms nonzero
+        # off the reset columns, which draw a new pair below.
+        full = np.zeros((len(index), dim_a * dim_b), dtype=np.complex128)
+        full[:, basis.gather] = proj.T
+        mat = full.reshape(-1, dim_a, dim_b)  # mat[c] is column c's Psi
+        alpha = (mat @ beta.conj()[:, :, None])[:, :, 0]
+        np.divide(alpha, _row_norms(alpha)[:, None], out=alpha, where=~reset[:, None])
+        beta = (alpha.conj()[:, None, :] @ mat)[:, 0, :]
+        np.divide(beta, _row_norms(beta)[:, None], out=beta, where=~reset[:, None])
+        del full, mat
+        dropped = []
+        for c in np.flatnonzero(stop | reset):
+            start = None
+            if stop[c]:
+                better = obj[c] > best_obj or (obj[c] == best_obj and index[c] < best_restart)
+                if not reset[c] and better:
+                    best_obj, best_restart = float(obj[c]), index[c]
+                    best_psi = np.zeros(d**n, dtype=np.complex128)
+                    best_psi[basis.gather] = proj[:, c]
+                records[index[c]] = (int(steps[c]), bool(done[c]), tuple(traces[c]))
+                nxt = next(starts, None)
+                if nxt is None:
+                    dropped.append(c)
+                    continue
+                index[c], start = nxt
+                traces[c], steps[c], prev[c] = [], 0, np.nan
+            alpha[c], beta[c] = pair(start)
+        del proj
+        if dropped:
+            keep = np.ones(len(index), dtype=bool)
+            keep[dropped] = False
+            index = [i for i, kept in zip(index, keep) if kept]
+            traces = [tr for tr, kept in zip(traces, keep) if kept]
+            alpha, beta, prev, steps = alpha[keep], beta[keep], prev[keep], steps[keep]
     if best_psi is None:
         raise RuntimeError("no restart produced a state inside the subspace")
+    iterations, converged, objective_traces = zip(*(records[i] for i in range(len(records))))
     maximizer = TensorState(d, n, best_psi)
     return MaximizationReport(
         best_lambda1_sq=best_obj,
-        restarts=len(iterations),
-        iterations=tuple(iterations),
-        converged=tuple(converged),
+        restarts=len(records),
+        iterations=iterations,
+        converged=converged,
         best_restart=best_restart,
         maximizer=maximizer,
         fixed_point_residual=verify_fixed_point(maximizer, basis, k),
-        objective_traces=tuple(traces),
+        objective_traces=objective_traces,
     )
 
 

@@ -395,7 +395,7 @@ def _stacked(d: int, n: int, flat: np.ndarray) -> tuple[np.ndarray, list]:
         by_shape.setdefault((r.size, c.size), []).append((r, c))
     stacks, stop = [], 0
     for (height, width), cells in by_shape.items():
-        blocks = np.empty((len(cells), height, width), dtype=np.complex128)
+        blocks = np.empty((len(cells), height, width))
         for out, (r, c) in zip(blocks, cells):
             out[...] = r[:, None] == flat[c]
         start, stop = stop, stop + len(cells) * height
@@ -414,10 +414,12 @@ class WeightBlocks:
     nonzero weight blocks, stacked by shape: ``gather`` lists the rows weight
     by weight, and each stack is ``(part, blocks, cols)``: its slice of
     ``gather``, its ``(count, h, w)`` blocks and their ``(count, w)``
-    ascending column indices, orthonormality checked on construction.
+    ascending column indices.  The blocks are real ``float64``: every
+    candidate, Jucys-Murphy stage, QR and orthogonal-form coefficient that
+    makes them is real.  Construction checks that, and orthonormality.
     ``len`` is the number of basis vectors.  Calling it projects a
     ``(d**n,)`` vector or ``(d**n, batch)`` matrix onto the span: one
-    gather, two stacked products per shape, one scatter."""
+    gather, :meth:`project_rows`, one scatter."""
 
     d: int
     n: int
@@ -427,30 +429,40 @@ class WeightBlocks:
     def __post_init__(self) -> None:
         # Gram matrices summed over 256-row chunks: no copy of a whole block.
         for block in (block for _, blocks, _ in self.stacks for block in blocks):
-            gram = -np.eye(block.shape[1], dtype=np.complex128)
+            if block.dtype != np.float64:
+                raise ValueError(f"weight blocks must be real float64, got {block.dtype}")
+            gram = -np.eye(block.shape[1])
             for chunk in np.split(block, range(256, len(block), 256)):
-                gram += chunk.conj().T @ chunk
+                gram += chunk.T @ chunk
             if np.abs(gram).max() > BASIS_TOL:
                 raise ValueError("basis is not orthonormal")
 
     def __len__(self) -> int:
         return sum(cols.size for _, _, cols in self.stacks)
 
-    def __call__(self, vec: np.ndarray) -> np.ndarray:
-        gathered = vec[self.gather]
-        result = np.empty_like(gathered, dtype=np.complex128)
+    def project_rows(self, rows: np.ndarray) -> np.ndarray:
+        """The projection of a complex ``(gather.size, batch)`` matrix of
+        gathered rows, as the same rows.  Each complex column is viewed as a
+        real (re, im) pair of columns, and each stack takes ``B (B^T x)``:
+        real products, no conjugate copies."""
+        pairs = np.ascontiguousarray(rows, dtype=np.complex128).view(np.float64)
+        out = np.empty_like(pairs)
         for part, blocks, _ in self.stacks:
             shape = blocks.shape[:2] + (-1,)
-            # blocks^H g as (g^H blocks)^H: no conjugate copy of the blocks
-            coeffs = (gathered[part].reshape(shape).conj().transpose(0, 2, 1) @ blocks).conj()
-            np.matmul(blocks, coeffs.transpose(0, 2, 1), out=result[part].reshape(shape))
+            coeffs = blocks.transpose(0, 2, 1) @ pairs[part].reshape(shape)
+            np.matmul(blocks, coeffs, out=out[part].reshape(shape))
+        return out.view(np.complex128)
+
+    def __call__(self, vec: np.ndarray) -> np.ndarray:
+        batch = vec.shape[1:]
+        rows = self.project_rows(vec[self.gather].reshape(self.gather.size, math.prod(batch)))
         out = np.zeros(vec.shape, dtype=np.complex128)
-        out[self.gather] = result
+        out[self.gather] = rows.reshape(self.gather.shape + batch)
         return out
 
     def scatter(self) -> np.ndarray:
         """The basis as a dense C-ordered ``(d**n, len(self))`` matrix."""
-        out = np.zeros((self.d**self.n, len(self)), dtype=np.complex128)
+        out = np.zeros((self.d**self.n, len(self)))
         for part, blocks, cols in self.stacks:
             rows = self.gather[part].reshape(blocks.shape[:2])
             out[rows[:, :, None], cols[:, None, :]] = blocks
@@ -470,8 +482,9 @@ class WeightBlocks:
         """``op`` on m <= n factors, tensored with the identity on the rest, on
         one ``(count, h, k)`` array per stack, rows as in its blocks: per
         amplitude the dense stages' arithmetic, each term one row gather.
-        The row maps of op's permutations live for this call only."""
-        maps = {sigma: self.row_map(sigma) for _, _, terms in op.stages for _, sigma in terms}
+        One row map per distinct permutation of op, for this call only."""
+        sigmas = dict.fromkeys(sigma for _, _, terms in op.stages for _, sigma in terms)
+        maps = {sigma: self.row_map(sigma) for sigma in sigmas}
         out = []
         for i, arr in enumerate(arrays):
             rows = op._run(arr.reshape(-1, arr.shape[2]), lambda src, s: src[maps[s][i]])
@@ -531,7 +544,7 @@ def block_basis(diagram: YoungDiagram, d: int) -> WeightBlocks:
     swaps = {k: seed.row_map(Permutation.transposition(n, k, k + 1)) for k in range(1, n)}
     stacks = []
     for part, blocks, cols in seed.stacks:
-        wide = np.empty(blocks.shape[:2] + (f, blocks.shape[2]), dtype=np.complex128)
+        wide = np.empty(blocks.shape[:2] + (f, blocks.shape[2]))
         wide[:, :, 0] = blocks  # wide[c, :, i] is block c of tableau i's columns
         cols = np.arange(f)[:, None] * dim_v + cols[:, None]  # (count, f, w)
         stacks.append((part, wide, cols.reshape(len(cols), -1)))

@@ -56,15 +56,17 @@ def _haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _column_norms(mat: np.ndarray) -> np.ndarray:
-    # Column norms of a matrix or a stack of them, read through the real and
-    # imaginary views: no temporary of mat's size.
-    return np.sqrt(sum(np.einsum("...ij,...ij->...j", x, x) for x in (mat.real, mat.imag)))
+    # Column norms of a matrix or a stack of them, read through the real and,
+    # if complex, imaginary views: no temporary of mat's size.
+    parts = (mat.real, mat.imag) if np.iscomplexobj(mat) else (mat,)
+    return np.sqrt(sum(np.einsum("...ij,...ij->...j", x, x) for x in parts))
 
 
 def _slice_norms(rows: np.ndarray, stack: np.ndarray, d: int) -> np.ndarray:
-    # (count, d, k): the norm of each column's slice of rows with last digit j.
+    # (count, d, k): the norm of each column's slice of rows with last digit j,
+    # for a real stack such as the weight blocks.
     onehot = rows.reshape(stack.shape[:2])[:, None] % d == np.arange(d)[:, None]
-    return np.sqrt(onehot @ (np.square(stack.real) + np.square(stack.imag)))
+    return np.sqrt(onehot @ np.square(stack))
 
 
 def run_verification(
@@ -141,8 +143,9 @@ def run_verification(
     # Permutation action on the aligned bases is the orthogonal-form matrix
     # tensored with the identity on the unitary index.  Permutations keep
     # weights, and the block is exactly zero off its weight blocks, so the
-    # real kron(m, 1)^T is compared with (sigma B)^H B one weight block at a
-    # time.  The N-cycle is no involution: an action by sigma^-1 shows.
+    # real kron(m, 1)^T is compared with (sigma B)^T B, real as B is, one
+    # weight block at a time.  The N-cycle is no involution: an action by
+    # sigma^-1 shows.
     sigmas = [Permutation.transposition(n, k, k + 1) for k in range(1, n)]
     if n >= 2:
         sigmas.append(Permutation.random(n, rng))
@@ -156,7 +159,7 @@ def run_verification(
             worst_cross = max(worst_cross, np.abs(_column_norms(moved) - 1.0).max())
             ti, a = np.divmod(cols, expected_dim)
             expected = m[ti[:, None, :], ti[:, :, None]] * (a[:, :, None] == a[:, None, :])
-            overlaps = np.conjugate(moved, out=moved).transpose(0, 2, 1) @ blocks
+            overlaps = moved.transpose(0, 2, 1) @ blocks
             worst_cross = max(worst_cross, np.abs(overlaps - expected).max())
             del moved, overlaps, expected
     record("orthogonal-form cross-check", worst_cross, 1e-9, f"{len(sigmas)} permutations")

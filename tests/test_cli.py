@@ -727,25 +727,29 @@ def test_runs_never_build_the_dense_block(runner, monkeypatch, args):
 
 
 class TestMemoryEstimate:
-    # a vector is 16 * d**N bytes; at (2,1), d = 2 one has 8 amplitudes,
-    # a sector dim V = 2 vectors, and the weights {0,0,1} and {0,1,1} carry
-    # one filling each: two weight blocks of 3 rows and f = 2 columns
+    # a vector is 16 * d**N bytes and a block cell 8; at (2,1), d = 2 one
+    # has 8 amplitudes, a sector dim V = 2 vectors, and the weights {0,0,1}
+    # and {0,1,1} carry one filling each: two weight blocks of 3 rows and
+    # f = 2 columns
     @pytest.mark.parametrize("args, need", [
-        # maximize: the blocks and the ascent's 16 vectors and records of
-        # 32 random restarts and a seeded one, each 128 bytes and 500
-        # objective values of 40 bytes, which outweigh the build's two row
-        # maps of 6 rows and the Gram check of a block
+        # maximize: the blocks, and the ascent's batch of all 33 restarts
+        # (32 random and a seeded one) beside one vector, each restart
+        # 16 * 3 bytes for each of the 6 gathered rows, with their records,
+        # each 128 bytes and 500 objective values of 40 bytes, which
+        # outweigh the build's two row maps of 6 rows and the Gram check
+        # of a block
         (["maximize", "--partition", "2,1", "--d", "2"],
-         16 * 3 * 2 * 2 + 16 * 16 * 8 + 33 * (128 + 40 * 500)),
+         8 * 3 * 2 * 2 + 16 * 8 + 33 * 16 * 3 * 6 + 33 * (128 + 40 * 500)),
         # verify: its sample checks, 13 vectors for each of the 5 samples,
         # outweigh the blocks, one row map and 16 vectors,
-        # 16 * 3 * 2 * 2 + 8 * 6 + 16 * 16 * 8
+        # 8 * 3 * 2 * 2 + 8 * 6 + 16 * 16 * 8
         (["verify", "--partition", "2,1", "--d", "2"], 16 * 8 * 13 * 5),
         # its dense block would be 14.1 GB; its weight blocks hold
-        # f * 120960 amplitudes, f = 168, beside the ascent's 16 vectors
-        # and its 33 restart records
+        # f * 120960 cells, f = 168, beside the ascent's 10 vectors (a
+        # batch of one restart, whose arrays are smaller than the fixed-point
+        # check's) and its 33 restart records
         (["maximize", "--partition", "3,3,2,1", "--d", "4"],
-         16 * 168 * 120960 + 16 * 16 * 4**9 + 33 * (128 + 40 * 500)),
+         8 * 168 * 120960 + 10 * 16 * 4**9 + 33 * (128 + 40 * 500)),
     ], ids=["maximize", "verify", "maximize-3321-d4"])
     def test_run_over_physical_memory_is_usage_error(self, runner, monkeypatch, args, need):
         import schurweyl.cli as cli
@@ -763,36 +767,41 @@ class TestMemoryEstimate:
         result = runner.invoke(main, ["verify", "--partition", "2,1", "--d", "2"])
         assert result.exit_code == 0, result.output
 
-    @pytest.mark.parametrize("command, partition, d, samples", [
-        ("maximize", "3,2,1", 4, None),
-        ("verify", "3,2,1", 4, 2),
-        ("verify", "3,2,1", 4, 5),
-        ("verify", "2,2,2,1", 4, 2),
-        ("verify", "2,2,1", 5, 2),
-        ("maximize", "4,2,1", 4, None),
-        ("maximize", "4,3,2", 3, None),
+    @pytest.mark.parametrize("command, partition, d, samples, restarts", [
+        ("maximize", "3,2,1", 4, None, 1),
+        ("verify", "3,2,1", 4, 2, None),
+        ("verify", "3,2,1", 4, 5, None),
+        ("verify", "2,2,2,1", 4, 2, None),
+        ("verify", "2,2,1", 5, 2, None),
+        ("maximize", "4,2,1", 4, None, 1),
+        ("maximize", "4,3,2", 3, None, 1),
+        ("maximize", "3,2,1", 4, None, 32),
     ], ids=["maximize", "verify", "verify-samples-5", "verify-2221-d4",
-            "verify-221-d5", "maximize-421-d4", "maximize-432-d3"])
+            "verify-221-d5", "maximize-421-d4", "maximize-432-d3",
+            "maximize-restarts-32"])
     def test_estimate_tracks_traced_peak(
-        self, runner, monkeypatch, command, partition, d, samples
+        self, runner, monkeypatch, command, partition, d, samples, restarts
     ):
         # the estimate against the memory the run takes, as tracemalloc
         # sees numpy's allocations.  maximize peaks with its weight blocks
-        # and the ascent's vectors, or at (4,3,2), d = 3 (f = 168, dim V =
-        # 8) with the Gram check of the widest block.  verify peaks in its
-        # block checks at (3,2,1), d = 4, with 2 or 5 samples kept into
-        # them, and in its sample checks, 13 vectors per sample, in the
-        # other two cases
+        # and the ascent's fixed-point check, or, at the default 32
+        # restarts, its batch of 5 restarts of (3,2,1), d = 4.  verify
+        # peaks in its block checks at (3,2,1), d = 4, with 2 samples kept
+        # into them, and in its sample checks, 13 vectors per sample, in
+        # the other three cases
         import schurweyl.cli as cli
 
         diagram = YoungDiagram.from_string(partition)
         if command == "verify":
             need = cli._memory_need(diagram, d, samples)
-        else:  # one random restart, as traced below
-            need = cli._memory_need(diagram, d, ascent=MaximizeConfig(restarts=1))
+        else:  # the random restarts traced below
+            need = cli._memory_need(diagram, d, ascent=MaximizeConfig(restarts=restarts))
         monkeypatch.setattr(cli, "_physical_memory", lambda: need - 1)
         args = [command, "--partition", partition, "--d", str(d)]
-        args += ["--samples", str(samples)] if command == "verify" else ["--restarts", "1"]
+        if command == "verify":
+            args += ["--samples", str(samples)]
+        else:
+            args += ["--restarts", str(restarts)]
         result = runner.invoke(main, args)
         assert result.exit_code == 2, result.output
         assert f"about {need} bytes" in result.output
@@ -806,7 +815,7 @@ class TestMemoryEstimate:
                 # as the CLI runs it: the blocks go to the ascent, no dense block
                 max_lambda1_over_subspace(
                     block_basis(diagram, d), diagram.n_boxes - 1,
-                    MaximizeConfig(restarts=1, seed=0),
+                    MaximizeConfig(restarts=restarts, seed=0),
                 )
             else:
                 run_verification(diagram, d, samples=samples)

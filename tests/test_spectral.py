@@ -5,6 +5,7 @@ import pytest
 
 from schurweyl.spectral import (
     MaximizeConfig,
+    _batch_width,
     entanglement_entropy,
     max_lambda1_over_subspace,
     reduced_density_matrix,
@@ -223,7 +224,7 @@ class TestMaximization:
         with pytest.raises(ValueError, match="empty basis"):
             max_lambda1_over_subspace(block_basis(YoungDiagram((1, 1, 1)), 2), 1)
         # one weight block, {0,1}, whose two columns are both |01>
-        column = np.array([[1], [0]], dtype=complex)
+        column = np.array([[1.0], [0.0]])
         bad = np.concatenate([column, column], axis=1)[None]
         with pytest.raises(ValueError, match="orthonormal"):
             WeightBlocks(2, 2, np.array([1, 2]), [(slice(0, 2), bad, np.array([[0, 1]]))])
@@ -259,6 +260,50 @@ class TestMaximization:
             max_lambda1_over_subspace(
                 singlet_basis(), 1, MaximizeConfig(restarts=0, max_iterations=1),
                 initial_pairs=[(e0, e0)],
+            )
+
+    def test_orthogonal_start_resets_inside_the_batch(self):
+        # the seeded e0 x e0 resets in its first step while the two random
+        # restarts advance beside it, then ascends from the pair it drew
+        e0 = np.array([1, 0])
+        report = max_lambda1_over_subspace(
+            singlet_basis(), 1, MaximizeConfig(restarts=2, seed=0),
+            initial_pairs=[(e0, e0)],
+        )
+        assert _batch_width(3, 2, 2) == 3
+        assert report.objective_traces[0][0] == 0.0
+        assert report.iterations[0] > 1 and report.converged[0]
+        assert report.objective_traces[0][-1] == pytest.approx(0.5, abs=1e-10)
+
+    def test_first_of_equal_restarts_is_best(self):
+        # on the span of |01> every restart ends at exactly 1.0; restart 1
+        # stops first and restart 2 last, but the best is restart 0
+        basis = WeightBlocks(2, 2, np.array([1]), [(slice(0, 1), np.ones((1, 1, 1)), np.array([[0]]))])
+        e0, e1 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        slow = (np.array([1.0, 1.0]), e1)
+        report = max_lambda1_over_subspace(
+            basis, 1, MaximizeConfig(restarts=0), initial_pairs=[slow, (e0, e1), slow]
+        )
+        assert report.iterations == (3, 2, 3)
+        assert [trace[-1] for trace in report.objective_traces] == [1.0, 1.0, 1.0]
+        assert report.best_restart == 0
+
+    def test_falling_objective_raises(self, monkeypatch):
+        # a projection that shrinks on every call makes the second objective
+        # of the seeded e0 x e1 (0.5 on the singlet) fall: the ascent refuses
+        calls = []
+        project_rows = WeightBlocks.project_rows
+
+        def shrinking(self, rows):
+            calls.append(None)
+            return project_rows(self, rows) * 0.1 ** (len(calls) - 1)
+
+        monkeypatch.setattr(WeightBlocks, "project_rows", shrinking)
+        e0, e1 = np.array([1, 0]), np.array([0, 1])
+        with pytest.raises(RuntimeError, match="objective decreased from 0.49"):
+            max_lambda1_over_subspace(
+                singlet_basis(), 1, MaximizeConfig(restarts=2, seed=0),
+                initial_pairs=[(e0, e1)],
             )
 
     def test_random_restarts_follow_orthogonal_start(self):
@@ -355,6 +400,19 @@ def test_power_step_reaches_bound_unseeded(rows, d):
     assert abs(report.best_lambda1_sq - float(exact)) <= 1e-9
 
 
+@pytest.mark.parametrize("rows, d, cut", [((2, 1, 1), 6, 2), ((3, 2, 1), 3, 5)],
+                         ids=["211-d6-cut2", "321-d3-cut5"])
+def test_batch_keeps_each_restart(rows, d, cut):
+    # restart 0 draws the same start alone and in a window of restarts, and
+    # advances in its own column: same iterations, same final objective
+    basis = block_basis(YoungDiagram(rows), d)
+    assert _batch_width(32, d, basis.n) > 1
+    alone = max_lambda1_over_subspace(basis, cut, MaximizeConfig(restarts=1, seed=0))
+    batch = max_lambda1_over_subspace(basis, cut, MaximizeConfig(restarts=32, seed=0))
+    assert batch.iterations[0] == alone.iterations[0]
+    assert batch.objective_traces[0][-1] == pytest.approx(alone.objective_traces[0][-1], abs=1e-12)
+
+
 def test_ascent_takes_no_svd(monkeypatch):
     # the one SVD left is the fixed-point residual's top Schmidt pair
     blocks = block_basis(YoungDiagram((2, 1, 1)), 6)
@@ -431,6 +489,13 @@ class TestWeightProjector:
         np.testing.assert_allclose(
             basis(batch[:, 0]), mat @ (mat.conj().T @ batch[:, 0]), rtol=0, atol=1e-13
         )
+
+    def test_rejects_complex_block(self):
+        # the blocks are real: a complex one, even with a zero imaginary
+        # part, is refused
+        column = np.array([[1], [0]], dtype=complex)
+        with pytest.raises(ValueError, match="real float64"):
+            WeightBlocks(2, 2, np.array([1, 2]), [(slice(0, 2), column[None], np.array([[0]]))])
 
     def test_ascent_takes_the_blocks(self):
         # the blocks carry N, so at d = 1 the maximizer keeps every factor

@@ -11,6 +11,7 @@ from schurweyl.orthogonal_form import Permutation
 from schurweyl.tensor_space import (
     OperatorExpr,
     TensorState,
+    WeightBlocks,
     _column_parts,
     _compose,
     _normalization,
@@ -649,6 +650,18 @@ def test_bases_are_exact_weight_vectors(n, d):
         assert_weight_vectors(block_basis(nu, d).scatter(), labels)
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_blocks_are_real(n):
+    # every candidate, Jucys-Murphy stage, QR and orthogonal-form
+    # coefficient that makes a block is real, and so is the block
+    for nu in partitions_of(n):
+        for d in (nu.n_rows, nu.n_rows + 1):
+            bases = [subspace_basis(t, d) for t in enumerate_standard_tableaux(nu)]
+            for basis in (*bases, block_basis(nu, d)):
+                assert basis.stacks
+                assert all(blocks.dtype == np.float64 for _, blocks, _ in basis.stacks)
+
+
 class TestWeightLocalStages:
     def test_seed_and_block_make_no_dense_projection(self, monkeypatch):
         def refuse(self, arr):
@@ -695,6 +708,25 @@ class TestWeightLocalStages:
         dg = YoungDiagram((3, 2, 1))
         t = enumerate_standard_tableaux(dg)[4]
         self.assert_matches_dense(block_basis(dg, 3), orthogonal_projector(remove_largest(t), 3))
+
+    def test_apply_builds_one_map_per_permutation(self, monkeypatch):
+        # an (N-1)-factor projector of (3,2,2) repeats transpositions across
+        # its stages: 27 terms, 15 distinct permutations, one map each
+        dg = YoungDiagram((3, 2, 2))
+        project = block_basis(dg, 3)
+        op = orthogonal_projector(remove_largest(enumerate_standard_tableaux(dg)[10]), 3)
+        terms = [sigma for _, _, stage in op.stages for _, sigma in stage]
+        assert (len(terms), len(set(terms))) == (27, 15)
+        calls = []
+        row_map = WeightBlocks.row_map
+
+        def counted(self, sigma):
+            calls.append(sigma)
+            return row_map(self, sigma)
+
+        monkeypatch.setattr(WeightBlocks, "row_map", counted)
+        project.apply(op, [blocks for _, blocks, _ in project.stacks])
+        assert sorted(calls, key=lambda s: s.images) == sorted(set(terms), key=lambda s: s.images)
 
     def test_apply_keeps_no_row_map(self):
         # the row maps of a call are dropped with it: once its result is,
