@@ -22,7 +22,6 @@ _EXPORTS = {
         "entropy_lower_bound",
         "enumerate_semistandard_tableaux",
         "enumerate_standard_tableaux",
-        "hook_length",
         "iter_partitions",
         "iter_standard_tableaux",
         "max_schmidt_bound",
@@ -41,8 +40,6 @@ _EXPORTS = {
         "OperatorExpr",
         "TensorState",
         "WeightBlocks",
-        "antisymmetrizer",
-        "apply_local_unitary",
         "block_basis",
         "closed_form_projector",
         "column_antisymmetrizer",
@@ -50,7 +47,6 @@ _EXPORTS = {
         "random_state",
         "row_symmetrizer",
         "subspace_basis",
-        "symmetrizer",
     ),
     "spectral": (
         "MaximizationReport",
@@ -58,7 +54,6 @@ _EXPORTS = {
         "SchmidtResult",
         "entanglement_entropy",
         "max_lambda1_over_subspace",
-        "reduced_density_matrix",
         "schmidt_decompose",
         "verify_fixed_point",
     ),

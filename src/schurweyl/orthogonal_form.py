@@ -43,10 +43,6 @@ class Permutation:
             raise ValueError(f"not a permutation of 1..{len(images)}: {images}")
 
     @classmethod
-    def identity(cls, n: int) -> Permutation:
-        return cls(tuple(range(1, n + 1)))
-
-    @classmethod
     def transposition(cls, n: int, a: int, b: int) -> Permutation:
         if not (1 <= a <= n and 1 <= b <= n):
             raise ValueError(f"points must lie in 1..{n}")
@@ -79,9 +75,6 @@ class Permutation:
 
     def is_identity(self) -> bool:
         return all(v == k for k, v in enumerate(self.images, start=1))
-
-    def sign(self) -> int:
-        return permutation_sign(self.images)
 
     def adjacent_factorization(self) -> tuple[int, ...]:
         """Indices k with self = s_{k_1} . s_{k_2} . ... for s_k = (k k+1).

@@ -1,6 +1,6 @@
-"""Reduced density matrices, Schmidt decompositions, entanglement entropy
-and variational maximization of the leading Schmidt coefficient over a
-projector-defined subspace."""
+"""Schmidt decompositions, entanglement entropy and variational
+maximization of the leading Schmidt coefficient over a projector-defined
+subspace."""
 
 from __future__ import annotations
 
@@ -37,28 +37,6 @@ def schmidt_decompose(psi: TensorState, k: int) -> SchmidtResult:
     d = psi.local_dim
     u, s, vh = np.linalg.svd(psi.amplitudes.reshape(d**k, d ** (n - k)), full_matrices=False)
     return SchmidtResult(s, u, vh)
-
-
-def reduced_density_matrix(psi: TensorState, keep) -> np.ndarray:
-    """Partial trace onto the listed factor positions (1-based).
-
-    Returns a hermitian positive-semidefinite matrix of size d^|keep|, with
-    unit trace for a normalized input; the kept factors appear in increasing
-    position order.
-    """
-    n = psi.n_factors
-    positions = sorted(set(int(k) for k in keep))
-    if not positions:
-        raise ValueError("keep set must be nonempty")
-    if any(not 1 <= k <= n for k in positions):
-        raise ValueError(f"factor positions must lie in 1..{n}")
-    if len(positions) == n:
-        raise ValueError("keep set must be a proper subset of the factors")
-    traced = [ax for ax in range(n) if ax + 1 not in positions]
-    nd = psi.nd()
-    rho = np.tensordot(nd, nd.conj(), axes=(traced, traced))
-    m = psi.local_dim ** len(positions)
-    return rho.reshape(m, m)
 
 
 def entanglement_entropy(psi: TensorState, k: int) -> float:

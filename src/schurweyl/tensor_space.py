@@ -76,10 +76,6 @@ class TensorState:
         amps[flat] = 1.0
         return cls(d, n, amps)
 
-    def nd(self) -> np.ndarray:
-        """Read-only view shaped (d,)*n, axis k holding factor k+1."""
-        return self.amplitudes.reshape((self.local_dim,) * self.n_factors)
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
@@ -88,11 +84,6 @@ class TensorState:
         if nrm == 0:
             raise ValueError("cannot normalize the zero state")
         return TensorState(self.local_dim, self.n_factors, self.amplitudes / nrm)
-
-    def inner(self, other: TensorState) -> complex:
-        """Hermitian inner product <self|other>."""
-        self._check_same_space(other)
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
 
     def tensor(self, other: TensorState) -> TensorState:
         if self.local_dim != other.local_dim:
@@ -158,15 +149,6 @@ def _rotated(u: np.ndarray, arr: np.ndarray, d: int, n: int) -> np.ndarray:
     for ax in range(n):
         nd = np.moveaxis(np.tensordot(u, nd, axes=(1, ax)), 0, ax)
     return nd.reshape(arr.shape)
-
-
-def apply_local_unitary(psi: TensorState, u) -> TensorState:
-    """Apply the same one-factor map u to every tensor factor."""
-    mat = np.asarray(u, dtype=np.complex128)
-    d = psi.local_dim
-    if mat.shape != (d, d):
-        raise ValueError(f"expected a {d}x{d} matrix")
-    return TensorState(d, psi.n_factors, _rotated(mat, psi.amplitudes, d, psi.n_factors))
 
 
 Stage = tuple[Fraction, Fraction, tuple[tuple[int, Permutation], ...]]
@@ -265,16 +247,6 @@ def _subset_permutation_sum(
         )
         stages.append((Fraction(1, j), 1, swaps))
     return OperatorExpr(d, n, stages)
-
-
-def symmetrizer(d: int, n: int) -> OperatorExpr:
-    """Orthogonal projector onto the fully symmetric subspace."""
-    return _subset_permutation_sum(d, n, range(1, n + 1), signed=False)
-
-
-def antisymmetrizer(d: int, n: int) -> OperatorExpr:
-    """Orthogonal projector onto the fully antisymmetric subspace."""
-    return _subset_permutation_sum(d, n, range(1, n + 1), signed=True)
 
 
 def row_symmetrizer(t: StandardTableau, i: int, d: int) -> OperatorExpr:
@@ -478,13 +450,18 @@ class WeightBlocks:
         local = permute_matrix_columns(full, where, self.d, self.n)[self.gather]
         return [local[part] - part.start for part, _, _ in self.stacks]
 
-    def apply(self, op: OperatorExpr, arrays: Sequence[np.ndarray]) -> list[np.ndarray]:
+    def apply(
+        self, op: OperatorExpr, arrays: Sequence[np.ndarray], maps: dict
+    ) -> list[np.ndarray]:
         """``op`` on m <= n factors, tensored with the identity on the rest, on
         one ``(count, h, k)`` array per stack, rows as in its blocks: per
         amplitude the dense stages' arithmetic, each term one row gather.
-        One row map per distinct permutation of op, for this call only."""
-        sigmas = dict.fromkeys(sigma for _, _, terms in op.stages for _, sigma in terms)
-        maps = {sigma: self.row_map(sigma) for sigma in sigmas}
+        ``maps``, :meth:`row_map` by permutation, belongs to the caller, who
+        decides how long they live; the call adds each map of op it lacks."""
+        for _, _, terms in op.stages:
+            for _, sigma in terms:
+                if sigma not in maps:
+                    maps[sigma] = self.row_map(sigma)
         out = []
         for i, arr in enumerate(arrays):
             rows = op._run(arr.reshape(-1, arr.shape[2]), lambda src, s: src[maps[s][i]])
@@ -509,7 +486,7 @@ def subspace_basis(t: StandardTableau, d: int) -> WeightBlocks:
     flat = np.array([[x for row in f for x in row] for f in fillings]) @ place
     gather, stacks = _stacked(d, n, flat)
     candidates = WeightBlocks(d, n, gather, stacks)
-    images = candidates.apply(orthogonal_projector(t, d), [blocks for _, blocks, _ in stacks])
+    images = candidates.apply(orthogonal_projector(t, d), [b for _, b, _ in stacks], {})
     qr = [np.linalg.qr(x) for x in images]
     # A dependent candidate leaves a diagonal entry of R at rounding level;
     # genuine entries stay far above this (>= 0.016 for N <= 7, d <= 4).

@@ -169,7 +169,8 @@ def run_verification(
     # Schmidt coefficients are the norms of its last-digit slices, its left
     # vectors u the slices over their norms, and ||P_t' u - u|| the slice
     # norm of (P_t' x 1) v - v over that of v.  Each block of a stack holds
-    # the sectors' columns in the same places.
+    # the sectors' columns in the same places.  The P_t' share the (N-1)(N-2)/2
+    # transpositions of the first N-1 factors: one row map each per run.
     worst_conf = 0.0
     worst_spec = 0.0
     if n >= 2:
@@ -178,17 +179,19 @@ def run_verification(
             spectra[cols] = _slice_norms(project.gather[part], blocks, d).transpose(0, 2, 1)
         spectra = np.sort(spectra, axis=1).reshape(len(tableaux), expected_dim, d)
         first: dict = {}
+        maps: dict = {}
         for ti, t in enumerate(tableaux):
             ref = first.setdefault(t.position(n), ti)
             worst_spec = max(worst_spec, float(np.abs(spectra[ti] - spectra[ref]).max()))
             sector = [b[:, :, cols[0] // expected_dim == ti] for _, b, cols in project.stacks]
-            moved = project.apply(orthogonal_projector(remove_largest(t), d), sector)
+            moved = project.apply(orthogonal_projector(remove_largest(t), d), sector, maps)
             for (part, _, _), v, pv in zip(project.stacks, sector, moved):
                 coeffs = _slice_norms(project.gather[part], v, d)
                 kept = coeffs > 1e-8
                 off = _slice_norms(project.gather[part], pv - v, d)[kept] / coeffs[kept]
                 worst_conf = off.max(initial=worst_conf)
             del sector, moved
+        del maps
     record("Schmidt confinement", worst_conf, 1e-8)
     record("shared-corner Schmidt spectra", worst_spec, 1e-8)
 

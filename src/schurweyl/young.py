@@ -87,9 +87,6 @@ class YoungDiagram:
     def conjugate(self) -> YoungDiagram:
         return YoungDiagram(self.columns)
 
-    def contains(self, box: Box) -> bool:
-        return 1 <= box.row <= self.n_rows and 1 <= box.col <= self.rows[box.row - 1]
-
     def boxes(self) -> Iterator[Box]:
         for i, r in enumerate(self.rows, start=1):
             for j in range(1, r + 1):
@@ -102,14 +99,6 @@ class YoungDiagram:
         rows = list(self.rows)
         rows[box.row - 1] -= 1
         return YoungDiagram(tuple(r for r in rows if r > 0))
-
-
-def hook_length(diagram: YoungDiagram, box: Box) -> int:
-    """Arm plus leg plus one of a box: r_i - j + c_j - i + 1, in O(1)."""
-    if not diagram.contains(box):
-        raise ValueError(f"box outside diagram: {box} not in ({diagram})")
-    i, j = box
-    return diagram.rows[i - 1] - j + diagram.columns[j - 1] - i + 1
 
 
 def _corner_rows(rows: tuple[int, ...]) -> Iterator[int]:

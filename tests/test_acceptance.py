@@ -115,7 +115,8 @@ def test_criterion_3_projector_algebra():
                 for proj in projs:
                     px = proj(x)
                     worst = max(worst, (proj(px) - px).norm())
-                    worst = max(worst, abs(y.inner(px) - proj(y).inner(x)))
+                    worst = max(worst, abs(np.vdot(y.amplitudes, px.amplitudes)
+                                           - np.vdot(proj(y).amplitudes, x.amplitudes)))
                     total = px if total is None else total + px
                 worst = max(worst, (total - x).norm())
             for i, p in enumerate(projs):

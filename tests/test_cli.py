@@ -279,6 +279,21 @@ class TestVerify:
         f = len(enumerate_standard_tableaux(diagram))
         assert len(calls) <= 2 * f + 2 * len(removable_boxes(diagram)) + 3
 
+    def test_row_maps_built_once(self, monkeypatch):
+        # (3,2,2) at d = 3: 21 maps for the seed's projector, 6 adjacent
+        # swaps, 8 cross-check permutations and, once for the whole Schmidt
+        # loop, the 15 transpositions of the first 6 factors
+        calls = []
+        row_map = WeightBlocks.row_map
+
+        def counted(self, sigma):
+            calls.append(sigma)
+            return row_map(self, sigma)
+
+        monkeypatch.setattr(WeightBlocks, "row_map", counted)
+        run_verification(YoungDiagram((3, 2, 2)), 3, samples=2)
+        assert len(calls) <= 50
+
     def test_sample_calls_stay_narrow(self, monkeypatch):
         # columns of the dense calls, linear in f: per tableau the 2
         # samples, then 3 * 2 for [P_t x | U x | V] with V the running sum

@@ -21,7 +21,6 @@ from schurweyl.young import (
     entropy_lower_bound,
     enumerate_semistandard_tableaux,
     enumerate_standard_tableaux,
-    hook_length,
     iter_partitions,
     iter_standard_tableaux,
     max_schmidt_bound,
@@ -146,21 +145,6 @@ class TestYoungDiagram:
 
 
 class TestHooksAndRemovable:
-    def test_hook_examples(self):
-        dg = YoungDiagram((3, 2, 1))
-        assert hook_length(dg, Box(1, 1)) == 5  # 3-1+3-1+1
-        assert hook_length(dg, Box(2, 1)) == 3  # 2-1+3-2+1
-        assert hook_length(YoungDiagram((1,)), Box(1, 1)) == 1
-
-    def test_hook_outside_diagram(self):
-        with pytest.raises(ValueError, match="outside"):
-            hook_length(YoungDiagram((2, 1)), Box(2, 2))
-
-    @given(partition_strategy())
-    def test_hooks_match_brute_force(self, dg):
-        for box in dg.boxes():
-            assert hook_length(dg, box) == brute_hook(dg, box)
-
     def test_removable_examples(self):
         assert removable_boxes(YoungDiagram((3, 2, 1))) == [Box(3, 1), Box(2, 2), Box(1, 3)]
         assert removable_boxes(YoungDiagram((1, 1, 1))) == [Box(3, 1)]
@@ -170,7 +154,7 @@ class TestHooksAndRemovable:
     def test_removable_iff_hook_one(self, dg):
         removable = set(removable_boxes(dg))
         for box in dg.boxes():
-            assert (hook_length(dg, box) == 1) == (box in removable)
+            assert (brute_hook(dg, box) == 1) == (box in removable)
 
     @given(partition_strategy())
     def test_removal_gives_valid_diagram(self, dg):
