@@ -188,15 +188,26 @@ def _emit_json(payload: dict, key: str | None = None, items: Iterable = ()) -> N
     click.echo("\n  ]\n}" if opened else head)
 
 
-def _echo_checks(results: list[CheckResult]) -> None:
-    for r in results:
-        mark = "pass" if r.passed else "FAIL"
-        detail = f"  ({r.detail})" if r.detail else ""
-        click.echo(
-            f"  [{mark}] {r.name:34s} residual {r.residual:.3e}  "
-            f"tol {r.tolerance:.0e}{detail}"
-        )
-    click.echo(f"{sum(r.passed for r in results)}/{len(results)} checks passed")
+def _report_checks(payload: dict, checks: list[CheckResult], fmt: str,
+                   header: Iterable[str]) -> None:
+    """Close a checking command: append the checks and their verdict to the
+    payload, print it as JSON or else the header lines and the check table,
+    and exit 1 when a check failed."""
+    payload.update(checks=[asdict(r) for r in checks], passed=all(r.passed for r in checks))
+    if fmt == "json":
+        _emit_json(payload)
+    else:
+        click.echo("\n".join(header))
+        for r in checks:
+            mark = "pass" if r.passed else "FAIL"
+            detail = f"  ({r.detail})" if r.detail else ""
+            click.echo(
+                f"  [{mark}] {r.name:34s} residual {r.residual:.3e}  "
+                f"tol {r.tolerance:.0e}{detail}"
+            )
+        click.echo(f"{sum(r.passed for r in checks)}/{len(checks)} checks passed")
+    if not payload["passed"]:
+        click.get_current_context().exit(1)
 
 
 def _bound_payload(diagram: YoungDiagram) -> dict:
@@ -303,9 +314,7 @@ def tableaux(partition: str, d: int | None, fmt: str) -> None:
               help="Random states per check.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text",
               show_default=True)
-@click.pass_context
-def verify(ctx: click.Context, partition: str, d: int | None, seed: int,
-           samples: int, fmt: str) -> None:
+def verify(partition: str, d: int | None, seed: int, samples: int, fmt: str) -> None:
     """Run the full cross-check suite for one partition; exit 1 on failure."""
     diagram = _parse_partition(partition)
     _require_boxes(diagram, 1)
@@ -313,23 +322,14 @@ def verify(ctx: click.Context, partition: str, d: int | None, seed: int,
     _check_memory(diagram, d, samples)
     _load_numerical()
     results = run_verification(diagram, d, seed=seed, samples=samples)
-    ok = all(r.passed for r in results)
     payload = {
         "schema": SCHEMA,
         "command": "verify",
         "partition": str(diagram),
         "d": d,
         "seed": seed,
-        "checks": [asdict(r) for r in results],
-        "passed": ok,
     }
-    if fmt == "json":
-        _emit_json(payload)
-    else:
-        click.echo(f"verify {diagram}  d={d}  seed={seed}")
-        _echo_checks(results)
-    if not ok:
-        ctx.exit(1)
+    _report_checks(payload, results, fmt, [f"verify {diagram}  d={d}  seed={seed}"])
 
 
 @main.command()
@@ -346,10 +346,9 @@ def verify(ctx: click.Context, partition: str, d: int | None, seed: int,
               help="Include objective traces in JSON output.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text",
               show_default=True)
-@click.pass_context
-def maximize(ctx: click.Context, partition: str, d: int | None, cut: int | None,
-             restarts: int, max_iterations: int, tolerance: float, seed: int,
-             trace: bool, fmt: str) -> None:
+def maximize(partition: str, d: int | None, cut: int | None, restarts: int,
+             max_iterations: int, tolerance: float, seed: int, trace: bool,
+             fmt: str) -> None:
     """Numerically maximize the leading squared Schmidt coefficient over a block;
     exit 1 when a check fails."""
     diagram = _parse_partition(partition)
@@ -387,7 +386,6 @@ def maximize(ctx: click.Context, partition: str, d: int | None, cut: int | None,
             "ascent converged",
             0.0 if report.converged[best] else 1.0,
             0.5,
-            report.converged[best],
             f"best restart {best} after {report.iterations[best]} iterations",
         )
     ]
@@ -395,11 +393,8 @@ def maximize(ctx: click.Context, partition: str, d: int | None, cut: int | None,
         # The exact bound holds only at the cut that splits off one factor.
         # Off it the ascent stops on a flat objective with a fixed-point
         # residual far above verify's tolerance, so neither is gated there.
-        checks.append(CheckResult("gap to exact bound", gap, 1e-8, gap <= 1e-8))
-        checks.append(
-            CheckResult("fixed-point residual", residual, 1e-7, residual <= 1e-7)
-        )
-    ok = all(r.passed for r in checks)
+        checks.append(CheckResult("gap to exact bound", gap, 1e-8))
+        checks.append(CheckResult("fixed-point residual", residual, 1e-7))
     amplitudes = [[float(a.real), float(a.imag)] for a in report.maximizer.amplitudes]
     report_json = {
         "best_lambda1_sq": report.best_lambda1_sq,
@@ -430,28 +425,20 @@ def maximize(ctx: click.Context, partition: str, d: int | None, cut: int | None,
         "iterations": list(report.iterations),
         "converged": list(report.converged),
         "report": report_json,
-        "checks": [asdict(r) for r in checks],
-        "passed": ok,
     }
-    if fmt == "json":
-        _emit_json(payload)
-    else:
-        click.echo(f"partition {diagram}  d={d}  cut={cut}  seed={seed}")
-        # The exact bound is the maximum only at the cut N-1; off it the
-        # text names that cut and shows no gap.
-        label = "exact bound" if cut == n - 1 else f"bound at cut {n - 1}"
-        click.echo(f"{label:20s} {exact}  at box ({witness.row},{witness.col})")
-        click.echo(f"numeric max          {report.best_lambda1_sq:.12f}")
-        if cut == n - 1:
-            click.echo(f"gap                  {gap:.3e}")
-        click.echo(f"fixed-point residual {residual:.3e}")
-        click.echo(
-            f"restarts {report.restarts} ({len(pairs)} seeded), "
-            f"converged {sum(report.converged)}/{report.restarts}"
-        )
-        _echo_checks(checks)
-    if not ok:
-        ctx.exit(1)
+    # The exact bound is the maximum only at the cut N-1; off it the text
+    # names that cut and shows no gap.
+    label = "exact bound" if cut == n - 1 else f"bound at cut {n - 1}"
+    header = [
+        f"partition {diagram}  d={d}  cut={cut}  seed={seed}",
+        f"{label:20s} {exact}  at box ({witness.row},{witness.col})",
+        f"numeric max          {report.best_lambda1_sq:.12f}",
+        *([f"gap                  {gap:.3e}"] if cut == n - 1 else []),
+        f"fixed-point residual {residual:.3e}",
+        f"restarts {report.restarts} ({len(pairs)} seeded), "
+        f"converged {sum(report.converged)}/{report.restarts}",
+    ]
+    _report_checks(payload, checks, fmt, header)
 
 
 @main.command()

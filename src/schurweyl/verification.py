@@ -14,7 +14,7 @@ only on the coherent and saturating states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,11 +42,18 @@ from .young import (
 
 @dataclass
 class CheckResult:
+    """One check's worst residual against its tolerance.  It passes exactly
+    when ``residual <= tolerance``, so a NaN residual fails."""
+
     name: str
     residual: float
     tolerance: float
-    passed: bool
+    passed: bool = field(init=False)
     detail: str = ""
+
+    def __post_init__(self) -> None:
+        self.residual = float(self.residual)
+        self.passed = self.residual <= self.tolerance
 
 
 def _haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -85,7 +92,7 @@ def run_verification(
     results: list[CheckResult] = []
 
     def record(name: str, residual: float, tol: float, detail: str = "") -> None:
-        results.append(CheckResult(name, float(residual), tol, float(residual) <= tol, detail))
+        results.append(CheckResult(name, residual, tol, detail))
 
     # Two projector calls per tableau t: on the samples x for hermiticity
     # and, at two tableaux, closed-form agreement; on [P_t x | U x | V] for

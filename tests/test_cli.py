@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -203,12 +204,21 @@ class TestVerify:
 
     def test_failure_exits_one(self, runner, monkeypatch):
         def fake(*args, **kwargs):
-            return [CheckResult("forced failure", 1.0, 1e-10, False)]
+            return [CheckResult("forced failure", 1.0, 1e-10)]
 
         monkeypatch.setattr("schurweyl.cli.run_verification", fake)
         result = runner.invoke(main, ["verify", "--partition", "2,1", "--d", "2"])
         assert result.exit_code == 1
         assert "FAIL" in result.output
+
+    def test_check_result_decides_its_verdict(self):
+        # a check passes exactly when residual <= tolerance: a NaN residual
+        # fails, one at the tolerance passes, and the JSON keys keep their order
+        assert CheckResult("nan", float("nan"), 1e-8).passed is False
+        edge = CheckResult("edge", np.float64(1e-8), 1e-8, "at the tolerance")
+        assert edge.passed is True
+        assert type(edge.residual) is float
+        assert list(asdict(edge)) == ["name", "residual", "tolerance", "passed", "detail"]
 
     @pytest.mark.parametrize("op", list(BENCHMARK_VERIFY_OPS))
     def test_check_names_match_benchmark_record(self, runner, op):
@@ -399,6 +409,27 @@ class TestVerify:
         assert checks["saturating-state membership"]["passed"] is False
         assert checks["saturating-state membership"]["residual"] == pytest.approx(1.0)
         assert checks["saturating-state fixed point"]["passed"] is True
+
+    def test_saturating_checks_see_state_off_the_block(self, runner, monkeypatch):
+        # e_0 on every factor lies off the block: the three saturating-state
+        # rows report FAIL, and the run exits 1 with every row printed
+        import schurweyl.verification as verification
+
+        monkeypatch.setattr(
+            verification, "optimizer_state",
+            lambda diagram, box, d: TensorState.unit(d, diagram.n_boxes, 0),
+        )
+        result = runner.invoke(
+            main, ["verify", "--partition", "3,2,1", "--d", "3", "--format", "json"]
+        )
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        failed = [c["name"] for c in json.loads(result.output)["checks"] if not c["passed"]]
+        assert failed == [
+            "saturation of the exact bound",
+            "saturating-state membership",
+            "saturating-state fixed point",
+        ]
 
     def test_fixed_point_sees_mixed_corners(self, runner, monkeypatch):
         # the normalized sum of two corners' optimizers is no fixed point

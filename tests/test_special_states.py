@@ -113,6 +113,21 @@ class TestCoherentState:
         psi = coherent_state(t, d=4)
         assert (orthogonal_projector(t, 4)(psi) - psi).norm() < 1e-9
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_is_last_corners_optimizer(self, n):
+        # the column-ordered tableau holds N in the corner of the last
+        # column, and the coherent state is that corner's saturating state
+        for nu in partitions_of(n):
+            t = column_ordered_tableau(nu)
+            box = max(removable_boxes(nu), key=lambda b: b.col)
+            assert tableau_with_largest_in(nu, box) == t
+            for d in (nu.n_rows, nu.n_rows + 1):
+                np.testing.assert_allclose(
+                    coherent_state(t, d).amplitudes,
+                    optimizer_state(nu, box, d).amplitudes,
+                    rtol=0, atol=1e-15,
+                )
+
 
 class TestOptimizerState:
     def test_fermion_column_is_slater(self):

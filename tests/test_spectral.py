@@ -408,12 +408,19 @@ class TestFixedPoint:
         psi = TensorState(2, 3, basis.scatter() @ coeffs)
         assert verify_fixed_point(psi, basis, 2) > 0.01
 
-    def test_rejects_state_outside_span(self):
-        dg = YoungDiagram((2, 2))
-        basis = block_basis(dg, 2)
+    def test_residual_bounds_distance_to_span(self):
+        # psi is compared with a vector of the span, or with 0, so a state
+        # off the span reads at least its distance to it: |0000> lies outside
+        # the (2,2), d = 2 block, and (b_0 + |0000>)/sqrt(2) 0.707 from it
+        basis = block_basis(YoungDiagram((2, 2)), 2)
         outside = TensorState.product_basis(2, [0, 0, 0, 0])
-        with pytest.raises(ValueError, match="outside"):
-            verify_fixed_point(outside, basis, 3)
+        assert verify_fixed_point(outside, basis, 3) == pytest.approx(1.0)
+        mixed = (TensorState(2, 4, basis.scatter()[:, 0]) + outside).normalized()
+        distance = np.linalg.norm(basis(mixed.amplitudes) - mixed.amplitudes)
+        assert distance == pytest.approx(math.sqrt(0.5))
+        residual = verify_fixed_point(mixed, basis, 3)
+        assert residual >= distance
+        assert residual == pytest.approx(0.765, abs=1e-3)
 
     @pytest.mark.parametrize("k", [0, 3])
     def test_rejects_cut_outside_range(self, k):
